@@ -164,11 +164,8 @@ def _cmd_mc(args):
     if args.trials < 1:
         print("error: --trials must be >= 1", file=sys.stderr)
         return 2
-    spec = EnsembleSpec(args.ensemble, args.r, _resolve_s(args.ensemble, args.r, args.s), args.seed)
-    cfg = ExperimentConfig(
-        spec=spec, trials=args.trials, master_seed=args.seed, output_format=args.format
-    )
-    report = run_experiment(cfg)
+    spec = EnsembleSpec(args.ensemble, args.r, _resolve_s(args.ensemble, args.r, args.s))
+    report = run_experiment(ExperimentConfig(spec=spec, trials=args.trials, master_seed=args.seed))
     if args.format == "csv":
         sys.stdout.write(report.to_csv())
     else:

@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .energy import sphere_kernel
+from .energy import fibered_energy, sphere_kernel
 from .quadrature import integrate, integrate_improper
 from .specfun import jacobi_p, gegenbauer, log_gamma
 
@@ -220,17 +220,14 @@ def zeros_J_sequence(r):
 
 
 def expected_configuration_energy(kind, r, s):
-    """-(n^2/2) log 2 + (n/2) log 2 - n log s - s^2 * kernel energy, n = r s."""
-    n = r * s
-    base = -(n * n / 2.0) * math.log(2.0) + (n / 2.0) * math.log(2.0) - n * math.log(s)
-    return base - s * s * expected_kernel_energy(kind, r)
+    """Expected energy of r fibers of s rotations over the ensemble's points:
+    fibered_energy of expected_kernel_energy."""
+    return fibered_energy(r, s, expected_kernel_energy(kind, r))
 
 
 def eap_energy_upper_bound(r, s):
     """Upper bound for the expected configuration energy of the eap process."""
-    n = r * s
-    base = -(n * n / 2.0) * math.log(2.0) + (n / 2.0) * math.log(2.0) - n * math.log(s)
-    return base - s * s * eap_kernel_lower_bound(r)
+    return fibered_energy(r, s, eap_kernel_lower_bound(r))
 
 
 # --- density bound report -------------------------------------------------------

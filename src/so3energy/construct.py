@@ -11,24 +11,16 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .geometry import base_frame, base_frames, rotation_about_z
+from .geometry import base_frames, rotation_mask
 from .streams import DOMAIN_FIBER, keyed_stream
 
 FORMAT_VERSION = "1"
 
 _TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class Fiber:
-    base: np.ndarray
-    s: int
-    phase: float
-    matrices: np.ndarray  # (s, 3, 3)
 
 
 @dataclass(frozen=True)
@@ -48,16 +40,6 @@ class Configuration:
     @property
     def n(self):
         return len(self.matrices)
-
-
-def build_fiber(p, s, phase):
-    """The s equally spaced rotations over base point p at the given phase."""
-    if s < 1:
-        raise ValueError(f"fiber count must be >= 1, got {s}")
-    p = np.asarray(p, dtype=float)
-    h = base_frame(p)
-    mats = np.stack([h @ rotation_about_z(_TWO_PI * (j + 1) / s + phase) for j in range(s)])
-    return Fiber(base=p, s=s, phase=float(phase), matrices=mats)
 
 
 def fiber_matrices(frames, phases, s):
@@ -123,60 +105,56 @@ def fiber_energy_closed_form(s):
 _CSV_HEADER = ["m11", "m12", "m13", "m21", "m22", "m23", "m31", "m32", "m33"]
 
 
-def _meta_dict(meta):
-    return {
-        "ensemble": meta.ensemble,
-        "r": meta.r,
-        "s": meta.s,
-        "seed": meta.seed,
-        "version": meta.version,
-    }
-
-
 def save_configuration(config, path, fmt="json"):
-    rows = config.matrices.reshape(config.n, 9)
+    rows = config.matrices.reshape(config.n, 9).tolist()
     if fmt == "json":
-        doc = {
-            "meta": _meta_dict(config.meta),
-            "matrices": [[float(v) for v in row] for row in rows],
-        }
         with open(path, "w", newline="") as fh:
-            json.dump(doc, fh)
+            json.dump({"meta": asdict(config.meta), "matrices": rows}, fh)
             fh.write("\n")
     elif fmt == "csv":
         with open(path, "w", newline="") as fh:
-            fh.write("# meta: " + json.dumps(_meta_dict(config.meta)) + "\n")
+            fh.write("# meta: " + json.dumps(asdict(config.meta)) + "\n")
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(_CSV_HEADER)
-            for row in rows:
-                writer.writerow([repr(float(v)) for v in row])
+            writer.writerows(rows)
     else:
         raise ValueError(f"unknown format {fmt!r} (expected 'json' or 'csv')")
 
 
 def load_configuration(path):
+    """Read a configuration written by save_configuration.
+
+    Raises ValueError naming the first matrix row that has a non-finite
+    entry or is not a rotation within 1e-10 (the tolerance of is_rotation).
+    """
+    meta = None
     with open(path, newline="") as fh:
         head = fh.read(1)
         fh.seek(0)
         if head == "{":
             doc = json.load(fh)
             meta = ConfigMeta(**doc["meta"])
-            mats = np.array(doc["matrices"], dtype=float).reshape(-1, 3, 3)
-            return Configuration(matrices=mats, meta=meta)
-        meta = None
-        rows = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if "meta:" in line:
-                    meta = ConfigMeta(**json.loads(line.split("meta:", 1)[1]))
-                continue
-            if line.startswith(_CSV_HEADER[0]):
-                continue
-            rows.append([float(v) for v in line.split(",")])
-        mats = np.array(rows, dtype=float).reshape(-1, 3, 3)
-        if meta is None:
-            meta = ConfigMeta(ensemble="unknown", r=len(mats), s=1, seed=None)
-        return Configuration(matrices=mats, meta=meta)
+            rows = doc["matrices"]
+        else:
+            rows = []
+            for line in fh:
+                line = line.strip()
+                if not line:
+                    continue
+                if line.startswith("#"):
+                    if "meta:" in line:
+                        meta = ConfigMeta(**json.loads(line.split("meta:", 1)[1]))
+                    continue
+                if line.startswith(_CSV_HEADER[0]):
+                    continue
+                rows.append([float(v) for v in line.split(",")])
+    mats = np.array(rows, dtype=float).reshape(-1, 3, 3)
+    bad = np.flatnonzero(~rotation_mask(mats))
+    if bad.size:
+        raise ValueError(
+            f"{path}: matrix row {bad[0] + 1} of {len(mats)} is not a rotation"
+            " (needs finite entries, |M^T M - I| and |det M - 1| within 1e-10)"
+        )
+    if meta is None:
+        meta = ConfigMeta(ensemble="unknown", r=len(mats), s=1, seed=None)
+    return Configuration(matrices=mats, meta=meta)

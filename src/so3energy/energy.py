@@ -2,8 +2,7 @@
 
 The energy of O_1..O_n is -(1/2) sum_{i != j} log(6 - 2 trace(O_i^T O_j)).
 Pair sums are reduced over fixed 64x64 index tiles with an exact (fsum)
-combination of tile partials, so the value never depends on thread count or
-chunking.
+combination of tile partials, so the value never depends on thread count.
 """
 
 from __future__ import annotations
@@ -32,41 +31,63 @@ class EnergyValue:
         return self.value
 
 
-def _tile_slices(n):
+def _upper_tiles(d):
+    """The strict upper triangle of the trailing (n, n) axes of d, as (b, k)
+    tiles of at most 64x64 entries, in a fixed order: each tile row starts
+    with its diagonal tile."""
+    b, n, _ = d.shape
     edges = list(range(0, n, _TILE)) + [n]
-    return [(edges[k], edges[k + 1]) for k in range(len(edges) - 1)]
+    for k in range(len(edges) - 1):
+        a0, a1 = edges[k], edges[k + 1]
+        iu = np.triu_indices(a1 - a0, 1)
+        yield d[:, a0:a1, a0:a1][:, iu[0], iu[1]]
+        for b0, b1 in zip(edges[k + 1 : -1], edges[k + 2 :]):
+            yield d[:, a0:a1, b0:b1].reshape(b, -1)
+
+
+def _upper_tile_sums(d, f):
+    """Sum of f over the strict upper triangle of each (n, n) slice of d.
+
+    Returns (sums, mins) with shape (b,), mins being the smallest entry
+    visited. Tile partials are combined with fsum per batch row, so the
+    value never depends on outer parallelism. Within a tile numpy sums
+    pairwise, except that the diagonal tiles of a batch with b > 1 come out
+    column-major and are summed in index order: the same slice can differ
+    in the last bits between b = 1 and b > 1.
+    """
+    b, n, _ = d.shape
+    if n < 2:
+        return np.zeros(b), np.full(b, np.inf)
+    partials = []
+    mins = np.full(b, np.inf)
+    for vals in _upper_tiles(d):
+        if vals.shape[1]:
+            mins = np.minimum(mins, vals.min(axis=1))
+            partials.append(f(vals).sum(axis=1))
+    stacked = np.stack(partials, axis=1)
+    return np.array([math.fsum(row) for row in stacked]), mins
 
 
 def pair_log_sums(dist_sq):
     """Tiled sum over unordered pairs of log(dist_sq), batched.
 
     dist_sq has shape (b, n, n); returns (sums, min_offdiag) with shape (b,).
-    Tiles are visited in a fixed order and combined with fsum per batch row,
-    independent of any outer parallelism.
     """
-    d = np.asarray(dist_sq, dtype=float)
-    b, n, _ = d.shape
-    if n < 2:
-        return np.zeros(b), np.full(b, np.inf)
-    slices = _tile_slices(n)
-    partials = []
-    mins = np.full(b, np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for ti, (a0, a1) in enumerate(slices):
-            for tj, (b0, b1) in enumerate(slices[ti:], start=ti):
-                block = d[:, a0:a1, b0:b1]
-                if ti == tj:
-                    iu = np.triu_indices(a1 - a0, 1)
-                    vals = block[:, iu[0], iu[1]]
-                else:
-                    vals = block.reshape(b, -1)
-                if vals.shape[1] == 0:
-                    continue
-                mins = np.minimum(mins, vals.min(axis=1))
-                partials.append(np.log(vals).sum(axis=1))
-    stacked = np.stack(partials, axis=1)
-    sums = np.array([math.fsum(row) for row in stacked])
-    return sums, mins
+        return _upper_tile_sums(np.asarray(dist_sq, dtype=float), np.log)
+
+
+def _rows_energies(rows):
+    """Energies and smallest pair squared distances of a (b, n, 9) batch.
+
+    Each batch row holds n rotations flattened row-major; the squared
+    distances 6 - 2 <O_i, O_j> are formed in place in the Gram batch.
+    """
+    d = rows @ rows.transpose(0, 2, 1)
+    d *= -2.0
+    d += 6.0
+    sums, mins = pair_log_sums(d)
+    return -sums, mins
 
 
 def log_energy(config):
@@ -82,12 +103,10 @@ def log_energy(config):
         raise ValueError("configuration must contain at least one rotation")
     if n == 1:
         return EnergyValue(0.0)
-    rows = mats.reshape(n, 9)
-    d = 6.0 - 2.0 * (rows @ rows.T)
-    sums, mins = pair_log_sums(d[None, :, :])
+    energies, mins = _rows_energies(mats.reshape(1, n, 9))
     if mins[0] < COINCIDENCE_TOL:
         return EnergyValue(math.inf, is_infinite=True)
-    return EnergyValue(float(-sums[0]))
+    return EnergyValue(float(energies[0]))
 
 
 def sphere_kernel(t):
@@ -103,42 +122,29 @@ def sphere_kernel(t):
 def sphere_kernel_energy(points):
     """Sum of sphere_kernel over ordered pairs of distinct indices."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    r = len(pts)
-    if r < 2:
-        return 0.0
     g = np.clip(pts @ pts.T, -1.0, 1.0)
-    slices = _tile_slices(r)
-    partials = []
-    for ti, (a0, a1) in enumerate(slices):
-        for tj, (b0, b1) in enumerate(slices[ti:], start=ti):
-            block = g[a0:a1, b0:b1]
-            if ti == tj:
-                iu = np.triu_indices(a1 - a0, 1)
-                vals = block[iu]
-            else:
-                vals = block.ravel()
-            if vals.size:
-                partials.append(float(np.log1p(np.sqrt((1.0 - vals) / 2.0)).sum()))
-    return 2.0 * math.fsum(partials)
+    sums, _ = _upper_tile_sums(g[None], sphere_kernel)
+    return 2.0 * float(sums[0])
+
+
+def fibered_energy(r, s, kernel_energy):
+    """-(n^2/2) log 2 + (n/2) log 2 - n log s - s^2 kernel_energy, n = r s.
+
+    The expected energy of r fibers of s rotations with independent uniform
+    phases, given the sphere_kernel_energy of (or a bound on) their base points.
+    """
+    n = r * s
+    return -(n * n / 2.0) * _LOG2 + (n / 2.0) * _LOG2 - n * math.log(s) - s * s * kernel_energy
 
 
 def predicted_energy(points, s):
-    """Expected energy of the fiber configuration over fixed base points.
-
-    -(n^2/2) log 2 + (n/2) log 2 - n log s - s^2 * sphere_kernel_energy(points)
-    with n = r s.
-    """
+    """Expected energy over the phases of s-fibers on fixed base points:
+    fibered_energy of their sphere_kernel_energy."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     r = len(pts)
     if r < 1 or s < 1:
         raise ValueError("need r >= 1 and s >= 1")
-    n = r * s
-    return (
-        -(n * n / 2.0) * _LOG2
-        + (n / 2.0) * _LOG2
-        - n * math.log(s)
-        - s * s * sphere_kernel_energy(pts)
-    )
+    return fibered_energy(r, s, sphere_kernel_energy(pts))
 
 
 def circle_average(h33, alpha, beta):

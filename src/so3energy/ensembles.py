@@ -35,7 +35,6 @@ class EnsembleSpec:
     kind: str
     r: int
     s: int | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in ENSEMBLE_KINDS:

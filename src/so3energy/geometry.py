@@ -7,7 +7,6 @@ numpy arrays of shape (3, 3), row-major. Everything is double precision.
 from __future__ import annotations
 
 import cmath
-import math
 
 import numpy as np
 
@@ -16,37 +15,12 @@ import numpy as np
 _POLE_TOL = 1e-24
 
 
-def rotation_about_z(phi):
-    """Rotation by angle phi about the vertical axis e3."""
-    c, s = math.cos(phi), math.sin(phi)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def base_frame(p):
-    """An explicit rotation H with H e3 = p.
+def base_frames(points):
+    """For each row p of an (r, 3) array of unit vectors, a rotation H with H e3 = p.
 
     Three cases: identity at the north pole, diag(1, -1, -1) at the south
     pole, and otherwise the closed-form frame whose third column is p.
     """
-    p = np.asarray(p, dtype=float)
-    x, y, z = p
-    rho2 = x * x + y * y
-    if rho2 < _POLE_TOL:
-        if z > 0:
-            return np.eye(3)
-        return np.diag([1.0, -1.0, -1.0])
-    rho = math.sqrt(rho2)
-    return np.array(
-        [
-            [y / rho, z * x / rho, x],
-            [-x / rho, z * y / rho, y],
-            [0.0, -rho, z],
-        ]
-    )
-
-
-def base_frames(points):
-    """Vectorized base_frame for an (r, 3) array of unit vectors."""
     pts = np.asarray(points, dtype=float)
     x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
     rho2 = x * x + y * y
@@ -65,23 +39,20 @@ def base_frames(points):
 
 
 def so3_dist_sq(a, b):
-    """Squared Frobenius distance between two rotations, 6 - 2 trace(a^T b)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return 6.0 - 2.0 * float(np.einsum("ij,ij->", a, b))
+    """Squared Frobenius distance 6 - 2 trace(a^T b) between rotations.
+
+    Broadcasts over leading axes; a single pair gives a float.
+    """
+    d = 6.0 - 2.0 * np.einsum("...ij,...ij->...", np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    return float(d) if d.ndim == 0 else d
 
 
-def haar_rotation(rng):
-    """One rotation drawn from the invariant (Haar) distribution.
+def haar_rotations(rng, count):
+    """Independent rotations from the invariant (Haar) distribution, shape (count, 3, 3).
 
     Method: four standard Gaussians normalized to a unit quaternion, mapped
     to its rotation matrix. Exact and branch-free.
     """
-    return quaternion_matrix(_unit_quaternions(rng, 1))[0]
-
-
-def haar_rotations(rng, count):
-    """A batch of independent Haar rotations, shape (count, 3, 3)."""
     return quaternion_matrix(_unit_quaternions(rng, count))
 
 
@@ -142,11 +113,17 @@ def unit_vector(v):
     return v / n
 
 
+def rotation_mask(mats, tol=1e-10):
+    """Which matrices of an (m, 3, 3) stack are rotations: finite entries,
+    max |M^T M - I| <= tol and |det M - 1| <= tol."""
+    m = np.asarray(mats, dtype=float)
+    with np.errstate(invalid="ignore", over="ignore"):
+        ortho = np.abs(np.swapaxes(m, 1, 2) @ m - np.eye(3)).max(axis=(1, 2)) <= tol
+        unit_det = np.abs(np.linalg.det(m) - 1.0) <= tol
+    return np.isfinite(m).all(axis=(1, 2)) & ortho & unit_det
+
+
 def is_rotation(m, tol=1e-10):
     """Check orthogonality and unit determinant within tol."""
     m = np.asarray(m, dtype=float)
-    if m.shape != (3, 3):
-        return False
-    if not np.all(np.abs(m.T @ m - np.eye(3)) <= tol):
-        return False
-    return abs(float(np.linalg.det(m)) - 1.0) <= tol
+    return m.shape == (3, 3) and bool(rotation_mask(m[None], tol)[0])

@@ -11,14 +11,14 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from multiprocessing import get_context
 
 import numpy as np
 
 from .constants import eap_energy_upper_bound, expected_configuration_energy, optimal_s
 from .construct import fiber_matrices
-from .energy import COINCIDENCE_TOL, pair_log_sums, predicted_energy
+from .energy import COINCIDENCE_TOL, _rows_energies, predicted_energy
 from .ensembles import EnsembleSpec, sample_points
 from .geometry import base_frames
 from .streams import DOMAIN_POINTS, DOMAIN_TRIAL, keyed_stream
@@ -41,14 +41,11 @@ class ExperimentConfig:
     spec: EnsembleSpec
     trials: int
     master_seed: int = 0
-    output_format: str = "json"
     resample_points: bool = True
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError(f"need trials >= 1, got {self.trials}")
-        if self.output_format not in ("json", "csv"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
 
 
 @dataclass(frozen=True)
@@ -67,21 +64,10 @@ class EstimateReport:
     excluded: int
 
     def to_dict(self):
-        return {
-            "format_version": REPORT_VERSION,
-            "ensemble": self.ensemble,
-            "r": self.r,
-            "s": self.s,
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "mean": self.mean,
-            "std_error": self.std_error,
-            "prediction": self.prediction,
-            "prediction_kind": self.prediction_kind,
-            "z_score": self.z_score,
-            "pass": self.passed,
-            "excluded": self.excluded,
-        }
+        doc = {"format_version": REPORT_VERSION}
+        for f in fields(self):
+            doc["pass" if f.name == "passed" else f.name] = getattr(self, f.name)
+        return doc
 
     def to_json(self):
         return json.dumps(self.to_dict())
@@ -94,7 +80,10 @@ class EstimateReport:
 
 
 def chunk_size(n):
-    """Trials per chunk, capped so one Gram batch stays near 32 MB."""
+    """Trials per chunk: at most 4096, and few enough that the chunk's (b, n, n)
+    float Gram batch fits in 32 MB. A chunk holds at least one trial, so past
+    n = 2048 the batch is one trial's n x n Gram, larger than 32 MB (103 MB
+    at n = 3,584)."""
     return max(1, min(4096, 2**25 // (8 * n * n)))
 
 
@@ -109,9 +98,7 @@ def _chunk_energies(args):
         else:
             h = frames
         rows[i] = fiber_matrices(h, rng.uniform(0.0, _TWO_PI, r), s)
-    gram = rows @ rows.transpose(0, 2, 1)
-    sums, mins = pair_log_sums(6.0 - 2.0 * gram)
-    return -sums, mins
+    return _rows_energies(rows)
 
 
 def resolve_workers(workers=None):

@@ -16,13 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constants as cn
-from .construct import build_fiber, fiber_energy_closed_form
+from .construct import build_configuration, fiber_energy_closed_form
 from .energy import (
     circle_average,
     circle_average_quadrature,
     log_energy,
-    pair_log_sums,
-    predicted_energy,
     sphere_kernel,
     sphere_kernel_energy,
 )
@@ -33,7 +31,7 @@ from .ensembles import (
     sample_spherical_ensemble,
     sample_uniform,
 )
-from .geometry import haar_rotations
+from .geometry import haar_rotations, so3_dist_sq
 from .harness import ExperimentConfig, run_experiment
 from .quadrature import integrate
 from .specfun import (
@@ -68,7 +66,7 @@ def _check_kappa(fast):
     rng = keyed_stream(2026, DOMAIN_POINTS)
     a = haar_rotations(rng, npairs)
     b = haar_rotations(rng, npairs)
-    x = np.log(6.0 - 2.0 * np.einsum("nij,nij->n", a, b))
+    x = np.log(so3_dist_sq(a, b))
     est = -x.mean() / 2.0
     se = x.std(ddof=1) / 2.0 / math.sqrt(npairs)
     z = (est - k) / se
@@ -92,8 +90,7 @@ def _check_fiber_identity(fast):
     worst = 0.0
     for s in range(1, 65):
         p = sample_uniform(1, rng)[0]
-        fib = build_fiber(p, s, rng.uniform(0.0, 2.0 * math.pi))
-        direct = -float(log_energy(fib.matrices))
+        direct = -float(log_energy(build_configuration(p, s, rng)))
         closed = fiber_energy_closed_form(s)
         denom = max(1.0, abs(closed))
         worst = max(worst, abs(direct - closed) / denom)
@@ -116,7 +113,7 @@ def _check_fixed_point_mean(fast):
     worst = 0.0
     for r, s in grid:
         cfg = ExperimentConfig(
-            spec=EnsembleSpec("uniform", r, s, 0),
+            spec=EnsembleSpec("uniform", r, s),
             trials=trials,
             master_seed=1000 + 10 * r + s,
             resample_points=False,
@@ -176,7 +173,7 @@ def _check_equal_area(fast):
         if area_err > 1e-9 or dmax > 7.0 / math.sqrt(r):
             return _result("equal-area", False, f"r={r}: area err {area_err:.1e}, diameter {dmax:.3f}")
     trials = 10 if fast else 60
-    cfg = ExperimentConfig(spec=EnsembleSpec("eap", 100, 10, 0), trials=trials, master_seed=2031)
+    cfg = ExperimentConfig(spec=EnsembleSpec("eap", 100, 10), trials=trials, master_seed=2031)
     rep = run_experiment(cfg)
     ok = rep.passed and rep.excluded == 0
     return _result(
@@ -247,7 +244,7 @@ def _check_headline_residual(fast):
     spreads = []
     for row in _headline_rows():
         r, s, n = row["r"], row["s"], row["n"]
-        cfg = ExperimentConfig(spec=EnsembleSpec("zeros", r, s, 0), trials=trials, master_seed=20260825)
+        cfg = ExperimentConfig(spec=EnsembleSpec("zeros", r, s), trials=trials, master_seed=20260825)
         rep = run_experiment(cfg)
         resid = (rep.mean - kap * n * n + n * math.log(n) / 3.0) / n
         if not math.isfinite(resid):
@@ -267,7 +264,7 @@ def _check_headline_residual(fast):
 
 def _check_determinism(fast):
     workers = (1, 2) if fast else (1, 8)
-    cfg = ExperimentConfig(spec=EnsembleSpec("uniform", 4, 2, 0), trials=2000, master_seed=77)
+    cfg = ExperimentConfig(spec=EnsembleSpec("uniform", 4, 2), trials=2000, master_seed=77)
     outs = [run_experiment(cfg, workers=w).to_json() for w in workers]
     ok = outs[0] == outs[1]
     return _result("determinism", ok, f"workers {workers[0]} vs {workers[1]}: {'identical' if ok else 'DIFFER'}")

@@ -28,7 +28,7 @@ from so3energy.constants import (
     optimal_s,
     zeros_J_sequence,
 )
-from so3energy.construct import build_fiber, fiber_energy_closed_form
+from so3energy.construct import build_configuration, fiber_energy_closed_form
 from so3energy.energy import (
     circle_average,
     circle_average_quadrature,
@@ -102,11 +102,11 @@ def test_fiber_energy_identity_every_count_to_64():
     worst = 0.0
     for s in range(1, 65):
         p = unit_vector(rng.standard_normal(3))
-        fib = build_fiber(p, s, rng.uniform(0.0, 2.0 * math.pi))
+        mats = build_configuration(p, s, rng).matrices
         if s == 1:
             direct = 0.0
         else:
-            gram = np.einsum("aij,bij->ab", fib.matrices, fib.matrices)
+            gram = np.einsum("aij,bij->ab", mats, mats)
             d2 = 6.0 - 2.0 * gram
             iu = np.triu_indices(s, 1)
             direct = float(np.sum(np.log(d2[iu])))

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from so3energy.cli import main
 from so3energy.construct import (
     Configuration,
     build_configuration,
-    build_fiber,
     fiber_energy_closed_form,
     fiber_matrices,
     load_configuration,
@@ -18,12 +18,22 @@ from so3energy.energy import log_energy
 from so3energy.geometry import base_frames, is_rotation, unit_vector
 
 
-def test_build_fiber_members_are_rotations_over_base():
+def fiber(p, s, phase):
+    """The s rotations over one base point at a given phase, shape (s, 3, 3)."""
+    return fiber_matrices(base_frames(np.atleast_2d(p)), [phase], s).reshape(s, 3, 3)
+
+
+def rotation_about_z(phi):
+    c, s = math.cos(phi), math.sin(phi)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def test_fiber_members_are_rotations_over_base():
     p = unit_vector([1.0, -2.0, 0.5])
-    fib = build_fiber(p, 5, phase=0.37)
-    assert fib.matrices.shape == (5, 3, 3)
+    mats = fiber(p, 5, phase=0.37)
+    assert mats.shape == (5, 3, 3)
     e3 = np.array([0.0, 0.0, 1.0])
-    for m in fib.matrices:
+    for m in mats:
         assert is_rotation(m, tol=1e-12)
         # every member of the fiber sends the pole to the base point
         assert np.allclose(m @ e3, p, atol=1e-12)
@@ -32,8 +42,8 @@ def test_build_fiber_members_are_rotations_over_base():
 def test_fiber_members_equally_spaced():
     # consecutive members differ by rotation through 2 pi / s about the pole,
     # so all consecutive squared distances are equal
-    fib = build_fiber([0.0, 1.0, 0.0], 7, phase=1.1)
-    gram = np.einsum("aij,bij->ab", fib.matrices, fib.matrices)
+    mats = fiber([0.0, 1.0, 0.0], 7, phase=1.1)
+    gram = np.einsum("aij,bij->ab", mats, mats)
     d2 = 6.0 - 2.0 * gram
     offs = [d2[i, (i + 1) % 7] for i in range(7)]
     assert np.allclose(offs, offs[0], atol=1e-12)
@@ -41,7 +51,24 @@ def test_fiber_members_equally_spaced():
     assert offs[0] == pytest.approx(expected, abs=1e-12)
 
 
-def test_fiber_matrices_matches_build_fiber():
+def test_fiber_over_north_pole_is_rotations_about_z():
+    # the north-pole frame is the identity, so slot j is R(2 pi (j+1)/s + phase)
+    e1, e3 = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])
+    mats = fiber([0.0, 0.0, 1.0], 4, phase=0.0)
+    assert np.allclose(mats[3], np.eye(3), atol=1e-15)
+    assert np.allclose(mats[0] @ e1, [0.0, 1.0, 0.0], atol=1e-15)
+    for j, m in enumerate(mats):
+        assert is_rotation(m)
+        assert np.allclose(m @ e3, e3)
+        assert np.allclose(m, rotation_about_z(2.0 * math.pi * (j + 1) / 4), atol=1e-15)
+        # group law on the circle: slots add their angles
+        for k in range(4):
+            assert np.allclose(m @ mats[k], mats[(j + k + 1) % 4], atol=1e-15)
+    a = fiber([0.0, 0.0, 1.0], 1, phase=0.7)[0]
+    assert np.allclose(a @ fiber([0.0, 0.0, 1.0], 1, phase=-1.9)[0], fiber([0.0, 0.0, 1.0], 1, phase=-1.2)[0])
+
+
+def test_fiber_matrices_matches_frame_times_rotation():
     rng = np.random.default_rng(21)
     pts = rng.standard_normal((6, 3))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
@@ -49,10 +76,11 @@ def test_fiber_matrices_matches_build_fiber():
     s = 4
     rows = fiber_matrices(base_frames(pts), phases, s)
     assert rows.shape == (24, 9)
+    frames = base_frames(pts)
     for i in range(6):
-        fib = build_fiber(pts[i], s, phases[i])
+        direct = np.stack([frames[i] @ rotation_about_z(2.0 * math.pi * (j + 1) / s + phases[i]) for j in range(s)])
         block = rows[i * s : (i + 1) * s].reshape(s, 3, 3)
-        assert np.max(np.abs(block - fib.matrices)) < 1e-14
+        assert np.max(np.abs(block - direct)) < 1e-14
 
 
 def test_fiber_energy_closed_form_matches_direct_sum():
@@ -63,11 +91,11 @@ def test_fiber_energy_closed_form_matches_direct_sum():
         expected = fiber_energy_closed_form(s)
         for _ in range(3):
             p = unit_vector(rng.standard_normal(3))
-            fib = build_fiber(p, s, rng.uniform(0.0, 2.0 * math.pi))
+            mats = build_configuration(p, s, rng).matrices
             if s == 1:
                 direct = 0.0
             else:
-                gram = np.einsum("aij,bij->ab", fib.matrices, fib.matrices)
+                gram = np.einsum("aij,bij->ab", mats, mats)
                 d2 = 6.0 - 2.0 * gram
                 iu = np.triu_indices(s, 1)
                 # ordered pairs: sum of log d over i != j equals sum of
@@ -121,7 +149,7 @@ def test_build_configuration_validation():
     with pytest.raises(ValueError):
         build_configuration([[0.0, 0.0, 1.0]], 0, rng=0)
     with pytest.raises(ValueError):
-        build_fiber([0.0, 0.0, 1.0], 0, 0.0)
+        build_configuration([0.0, 0.0, 1.0], 0, rng=np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -155,3 +183,35 @@ def test_load_csv_without_meta_line(tmp_path):
     assert cfg.n == 1
     assert np.array_equal(cfg.matrices[0], np.eye(3))
     assert cfg.meta.ensemble == "unknown"
+
+
+def _broken_file(tmp_path, fmt, damage):
+    """A saved configuration of 6 rotations whose matrix row 3 is damaged."""
+    pts = np.random.default_rng(32).standard_normal((3, 3))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    cfg = build_configuration(pts, 2, rng=56)
+    damage(cfg.matrices[2])
+    path = tmp_path / f"broken.{fmt}"
+    save_configuration(cfg, path, fmt=fmt)
+    return path
+
+
+def _nan_entry(m):
+    m[1, 2] = math.nan
+
+
+def _scaled(m):
+    m *= 1.01
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("damage", [_nan_entry, _scaled])
+def test_load_rejects_non_rotation_rows(tmp_path, capsys, fmt, damage):
+    path = _broken_file(tmp_path, fmt, damage)
+    with pytest.raises(ValueError, match="matrix row 3 of 6 is not a rotation"):
+        load_configuration(path)
+    capsys.readouterr()
+    assert main(["energy", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "matrix row 3 of 6" in captured.err

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from so3energy.construct import build_configuration, build_fiber, fiber_energy_closed_form
+from so3energy.construct import build_configuration, fiber_energy_closed_form, fiber_matrices
 from so3energy.energy import (
     COINCIDENCE_TOL,
     EnergyValue,
@@ -25,7 +25,7 @@ from so3energy.energy import (
     sphere_kernel,
     sphere_kernel_energy,
 )
-from so3energy.geometry import haar_rotations, unit_vector
+from so3energy.geometry import base_frames, haar_rotations, unit_vector
 
 _LOG2 = math.log(2.0)
 
@@ -81,8 +81,7 @@ def test_log_energy_fiber_identity():
     # one fiber: energy equals minus the closed form, any base point or phase
     rng = np.random.default_rng(44)
     for s in [2, 3, 16]:
-        fib = build_fiber(unit_vector(rng.standard_normal(3)), s, rng.uniform(0, 2 * math.pi))
-        e = log_energy(fib.matrices)
+        e = log_energy(build_configuration(unit_vector(rng.standard_normal(3)), s, rng))
         assert isinstance(e, EnergyValue)
         assert not e.is_infinite
         assert e.value == pytest.approx(-fiber_energy_closed_form(s), rel=1e-12)
@@ -200,8 +199,8 @@ def test_crossed_expectation_by_direct_phase_average():
     grid = 400
     totals = []
     for a in np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False):
-        fa = build_fiber(p, s, float(a)).matrices
-        fb = build_fiber(q, s, 0.0).matrices
+        fa = fiber_matrices(base_frames([p]), [a], s).reshape(s, 3, 3)
+        fb = fiber_matrices(base_frames([q]), [0.0], s).reshape(s, 3, 3)
         cross = 0.0
         for ma in fa:
             for mb in fb:

@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 
 from so3energy.geometry import (
-    base_frame,
     base_frames,
-    haar_rotation,
     haar_rotations,
     inverse_stereographic,
     is_rotation,
     quaternion_matrix,
-    rotation_about_z,
+    rotation_mask,
     so3_dist_sq,
     unit_vector,
 )
@@ -24,28 +22,26 @@ def random_sphere_points(rng, count):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def test_rotation_about_z_basics():
-    assert np.allclose(rotation_about_z(0.0), np.eye(3))
-    r = rotation_about_z(np.pi / 2)
-    assert np.allclose(r @ np.array([1.0, 0.0, 0.0]), [0.0, 1.0, 0.0], atol=1e-15)
-    assert np.allclose(r @ np.array([0.0, 0.0, 1.0]), [0.0, 0.0, 1.0])
-    assert is_rotation(r)
-    # group law on the circle
-    a, b = 0.7, -1.9
-    assert np.allclose(rotation_about_z(a) @ rotation_about_z(b), rotation_about_z(a + b))
+def frame_reference(p):
+    """The frame base_frames documents, one point at a time."""
+    x, y, z = p
+    rho2 = x * x + y * y
+    if rho2 < 1e-24:
+        return np.eye(3) if z > 0 else np.diag([1.0, -1.0, -1.0])
+    rho = math.sqrt(rho2)
+    return np.array([[y / rho, z * x / rho, x], [-x / rho, z * y / rho, y], [0.0, -rho, z]])
 
 
 def test_base_frame_maps_pole_to_point():
     rng = np.random.default_rng(5)
-    for p in random_sphere_points(rng, 50):
-        h = base_frame(p)
+    pts = random_sphere_points(rng, 50)
+    for p, h in zip(pts, base_frames(pts)):
         assert is_rotation(h, tol=1e-12)
         assert np.allclose(h @ np.array([0.0, 0.0, 1.0]), p, atol=1e-14)
 
 
 def test_base_frame_at_poles():
-    north = base_frame([0.0, 0.0, 1.0])
-    south = base_frame([0.0, 0.0, -1.0])
+    north, south = base_frames([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
     assert np.array_equal(north, np.eye(3))
     assert is_rotation(south, tol=0.0)
     assert np.allclose(south @ np.array([0.0, 0.0, 1.0]), [0.0, 0.0, -1.0])
@@ -56,20 +52,27 @@ def test_base_frames_matches_scalar_version():
     pts = np.vstack([random_sphere_points(rng, 40), [[0, 0, 1.0]], [[0, 0, -1.0]]])
     batch = base_frames(pts)
     for k, p in enumerate(pts):
-        assert np.array_equal(batch[k], base_frame(p))
+        assert np.array_equal(batch[k], frame_reference(p))
+        assert np.array_equal(batch[k], base_frames(p[None])[0])
 
 
 def test_so3_dist_sq_range_and_exact_values():
     assert so3_dist_sq(np.eye(3), np.eye(3)) == 0.0
     # rotation by pi about z against the identity: trace = -1 + 0 + ... actually
     # diag(-1, -1, 1), trace 1 - 2 = -1, squared distance 6 + 2 = 8
-    assert so3_dist_sq(np.eye(3), rotation_about_z(np.pi)) == pytest.approx(8.0, abs=1e-12)
+    assert so3_dist_sq(np.eye(3), np.diag([-1.0, -1.0, 1.0])) == pytest.approx(8.0, abs=1e-12)
     rng = np.random.default_rng(7)
+    pairs = []
     for _ in range(20):
-        a, b = haar_rotation(rng), haar_rotation(rng)
+        a, b = haar_rotations(rng, 1)[0], haar_rotations(rng, 1)[0]
         d = so3_dist_sq(a, b)
+        assert isinstance(d, float)
         assert 0.0 <= d <= 8.0 + 1e-12
         assert d == pytest.approx(np.sum((a - b) ** 2), abs=1e-12)
+        pairs.append((a, b, d))
+    # stacks of rotations give the pairwise distances of their members
+    a, b, d = (np.array(col) for col in zip(*pairs))
+    np.testing.assert_allclose(so3_dist_sq(a, b), d, rtol=0.0, atol=1e-15)
 
 
 def test_haar_rotation_invariance_moments():
@@ -87,7 +90,7 @@ def test_haar_rotation_invariance_moments():
 def test_haar_rotations_match_scalar_stream():
     a = haar_rotations(np.random.default_rng(3), 4)
     rng = np.random.default_rng(3)
-    b = np.stack([haar_rotation(rng) for _ in range(4)])
+    b = np.stack([haar_rotations(rng, 1)[0] for _ in range(4)])
     assert np.array_equal(a, b)
 
 
@@ -125,3 +128,13 @@ def test_is_rotation_rejects_reflections_and_junk():
     assert not is_rotation(2.0 * np.eye(3))
     assert not is_rotation(np.eye(2))
     assert is_rotation(np.eye(3))
+
+
+def test_rotation_mask_flags_each_bad_matrix():
+    mats = haar_rotations(np.random.default_rng(14), 6)
+    mats[1, 0, 2] = math.nan
+    mats[2] *= 1.01
+    mats[3] = np.diag([1.0, 1.0, -1.0])
+    mats[4, 2, 2] = math.inf
+    assert rotation_mask(mats).tolist() == [True, False, False, False, False, True]
+    assert rotation_mask(np.empty((0, 3, 3))).shape == (0,)

@@ -1,0 +1,104 @@
+"""Hash the user-visible output of a fixed list of so3energy commands.
+
+Each command runs in-process on the checkout this script lives in (its
+`src/` directory goes first on the import path). For every command the
+script prints the sha256 of its exit code, stdout, stderr and any file it
+wrote, then one combined hash over all lines. Two checkouts whose outputs
+are byte-identical print identical lines, so a refactor that must not change
+behaviour is checked by running this script before and after it.
+
+Run from anywhere:  python tools/output_hashes.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+
+from so3energy import cli  # noqa: E402
+from so3energy.ensembles import ENSEMBLE_KINDS, EnsembleSpec  # noqa: E402
+from so3energy.harness import ExperimentConfig, run_experiment  # noqa: E402
+
+# (kind, r, s) for the generate -> energy round trips; r = 40 with the optimal
+# count crosses the 64-wide tiles of the pair reducer
+_GENERATE = [(kind, r, s) for kind in ENSEMBLE_KINDS for r, s in ((7, "3"), (40, "auto"))]
+_MC = [(kind, 9 if kind == "eap" else 6) for kind in ENSEMBLE_KINDS]
+_PREDICT = [(kind, 16) for kind in ENSEMBLE_KINDS + ("harmonic",)] + [("zeros", 256)]
+# the fixed-point grids of the acceptance test
+_FIXED_GRIDS = [(r, s) for r in (2, 5, 10) for s in (1, 2, 3)]
+_FIXED_SEEDS = (0, 11, 2026)
+
+
+def _digest(*parts):
+    h = hashlib.sha256()
+    for part in parts:
+        data = part if isinstance(part, bytes) else str(part).encode()
+        h.update(len(data).to_bytes(8, "little"))
+        h.update(data)
+    return h.hexdigest()
+
+
+def _cli(argv, written=()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    files = []
+    for path in written:
+        with open(path, "rb") as fh:
+            files.append(fh.read())
+    return _digest(rc, out.getvalue(), err.getvalue(), *files)
+
+
+def _commands():
+    for kind, r, s in _GENERATE:
+        for fmt in ("json", "csv"):
+            path = f"cfg-{kind}-{r}.{fmt}"
+            argv = ["generate", "--ensemble", kind, "--r", str(r), "--s", s, "--seed", "5", "--out", path, "--format", fmt]
+            yield " ".join(argv), lambda a=argv, p=path: _cli(a, written=[p])
+            argv = ["energy", "--in", path]
+            yield " ".join(argv), lambda a=argv: _cli(a)
+    for kind, r in _MC:
+        for fmt in ("json", "csv"):
+            argv = ["mc", "--ensemble", kind, "--r", str(r), "--s", "auto", "--trials", "300", "--seed", "3", "--format", fmt]
+            yield " ".join(argv), lambda a=argv: _cli(a)
+    for kind, r in _PREDICT:
+        argv = ["predict", "--ensemble", kind, "--r", str(r), "--s", "auto"]
+        yield " ".join(argv), lambda a=argv: _cli(a)
+    for kind in ENSEMBLE_KINDS + ("harmonic",):
+        argv = ["table", "--ensemble", kind, "--rmax", "30"]
+        yield " ".join(argv), lambda a=argv: _cli(a)
+    for argv in (["constants"], ["constants", "--json"]):
+        yield " ".join(argv), lambda a=argv: _cli(a)
+    for seed in _FIXED_SEEDS:
+        for r, s in _FIXED_GRIDS:
+            cfg = ExperimentConfig(EnsembleSpec("uniform", r, s=s), trials=500, master_seed=seed, resample_points=False)
+            yield f"run_experiment fixed-point uniform r={r} s={s} seed={seed}", (
+                lambda c=cfg: _digest(run_experiment(c).to_json())
+            )
+    argv = ["verify", "--suite", "fast"]
+    yield " ".join(argv), lambda a=argv: _cli(a)
+
+
+def main():
+    lines = []
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for label, run in _commands():
+                line = f"{run()}  {label}"
+                lines.append(line)
+                print(line, flush=True)
+        finally:
+            os.chdir(cwd)
+    print(f"{_digest(*lines)}  combined ({len(lines)} commands)")
+
+
+if __name__ == "__main__":
+    main()
