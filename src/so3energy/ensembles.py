@@ -19,6 +19,11 @@ ENSEMBLE_KINDS = ("uniform", "zeros", "eap", "spherical")
 
 _DEGENERATE_LEAD = 1e-300
 _RESIDUAL_TOL = 1e-10
+# every Aberth sweep holds (active x degree) complex arrays, 268 MB each at
+# this degree; a larger polynomial is refused rather than run out of memory
+_MAX_DEGREE = 4096
+# the coefficient variances comb(r, j) / 2 pass the double range from r = 1030
+_MAX_ZEROS_DEGREE = 1029
 
 
 class RootFindingError(RuntimeError):
@@ -64,73 +69,138 @@ def sample_uniform(r, rng):
 # --- elliptic polynomial zeros ----------------------------------------------
 
 
-def _newton_ratio(coeffs, z):
-    """p(z)/p'(z) elementwise, switching to reversed coefficients at 1/z for
-    |z| > 1 so that high-degree evaluation never overflows."""
-    r = len(coeffs) - 1
-    out = np.empty_like(z)
+def _powers(z, r):
+    """Power matrix for evaluating degree-r polynomials at z without overflow.
+
+    Returns (inner, pw): inner marks |z| <= 1, and pw[j] = u^j for j = 0..r,
+    shape (r + 1, len(z)), with u = z where inner and u = 1/z elsewhere, so
+    |u| <= 1. Where u = 1/z, p(z) = z^r sum_j a_{r-j} u^j.
+    """
     inner = np.abs(z) <= 1.0
-    if np.any(inner):
-        zi = z[inner]
-        p = np.polyval(coeffs[::-1], zi)
-        dp = np.polyval((coeffs[1:] * np.arange(1, r + 1))[::-1], zi)
-        out[inner] = p / dp
-    if np.any(~inner):
-        w = 1.0 / z[~inner]
-        # p(z) = z^r q(w) with q(w) = sum_j a_{r-j} w^j
-        q = np.polyval(coeffs, w)
-        dq = np.polyval(coeffs[:r] * np.arange(r, 0, -1), w)
-        out[~inner] = z[~inner] * q / (r * q - w * dq)
+    u = z.copy()
+    u[~inner] = 1.0 / u[~inner]
+    pw = np.empty((r + 1, len(z)), dtype=u.dtype)
+    pw[0] = 1.0
+    pw[1] = u
+    # doubling: rows k..2k-1 are rows 0..k-1 times u^k, one vectorized
+    # product per power of two
+    k = 2
+    while k <= r:
+        m = min(k, r + 1 - k)
+        np.multiply(pw[:m], pw[k // 2] * pw[k // 2], out=pw[k : k + m])
+        k *= 2
+    return inner, pw
+
+
+def _newton_ratio(cols, z):
+    """p(z)/p'(z) elementwise; cols is the (r + 1, 4) matrix of _newton_columns."""
+    inner, pw = _powers(z, len(cols) - 1)
+    v = cols.T @ pw
+    out = v[0] / v[1]
+    outer = ~inner
+    out[outer] = z[outer] * v[2, outer] / v[3, outer]
     return out
+
+
+def _newton_columns(c):
+    """Coefficients, against powers of z, of p and p'; then, against powers of
+    w = 1/z, of z^-r p and z^(1-r) p', whose ratio times z is p/p'."""
+    j = np.arange(len(c))
+    return np.stack([c, np.append(c[1:] * j[1:], 0.0), c[::-1], (c * j)[::-1]], axis=1)
 
 
 def _relative_residuals(coeffs, z):
     """|p(z)| / sum_j |a_j| |z|^j, evaluated without overflow."""
-    r = len(coeffs) - 1
-    out = np.empty(z.shape, dtype=float)
-    absc = np.abs(coeffs)
-    inner = np.abs(z) <= 1.0
-    if np.any(inner):
-        zi = z[inner]
-        out[inner] = np.abs(np.polyval(coeffs[::-1], zi)) / np.polyval(absc[::-1], np.abs(zi))
-    if np.any(~inner):
-        w = 1.0 / z[~inner]
-        out[~inner] = np.abs(np.polyval(coeffs, w)) / np.polyval(absc, np.abs(w))
-    return out
+    c = np.asarray(coeffs, dtype=complex)
+    inner, pw = _powers(z, len(c) - 1)
+    num = np.abs(np.stack([c, c[::-1]]) @ pw)
+    absc = np.abs(c)
+    den = np.stack([absc, absc[::-1]]) @ np.abs(pw)
+    return np.where(inner, num[0] / den[0], num[1] / den[1])
+
+
+def _newton_polygon_starts(c):
+    """Radii and angles of Bini's starting points for the roots of sum_j c[j] z^j.
+
+    The upper convex hull of the points (j, log|c_j|), exactly zero
+    coefficients left out, has one edge per group of roots of like modulus:
+    an edge from i0 to i1 holds i1 - i0 points on a circle of radius
+    (|c_i0| / |c_i1|)^(1/(i1 - i0)), turned by 2 pi i0 / r. When c_0 = 0 the
+    first edge's circle (the unit circle if there is none) takes the
+    remaining starts.
+    """
+    r = len(c) - 1
+    idx = np.flatnonzero(c)
+    y = np.log(np.abs(c[idx]))
+    xs, ys = idx.tolist(), y.tolist()
+    hull = []
+    for k in range(len(xs)):
+        # drop the last vertex while it lies on or below the chord to point k
+        while len(hull) >= 2:
+            a, m = hull[-2], hull[-1]
+            if (ys[m] - ys[a]) * (xs[k] - xs[a]) > (ys[k] - ys[a]) * (xs[m] - xs[a]):
+                break
+            hull.pop()
+        hull.append(k)
+    i0, i1 = idx[hull[:-1]], idx[hull[1:]]
+    counts = i1 - i0
+    log_radii = (y[hull[:-1]] - y[hull[1:]]) / counts
+    if idx[0] > 0:
+        i0 = np.append(0, i0)
+        counts = np.append(idx[0], counts)
+        log_radii = np.append(log_radii[0] if len(log_radii) else 0.0, log_radii)
+    edge = np.repeat(np.arange(len(counts)), counts)
+    k = np.arange(r) - np.repeat(i0, counts)
+    angles = 2.0 * np.pi * (k / counts[edge] + i0[edge] / r)
+    return np.exp(log_radii[edge]), angles
 
 
 def aberth_roots(coeffs, tol=1e-12, cap=200, retries=3):
     """All complex roots of sum_j coeffs[j] z^j by Aberth-Ehrlich iteration.
 
     coeffs runs from the constant term up; the leading coefficient must be
-    nonzero. A sweep stops early when |dz| <= tol (1 + |z|); an attempt is
-    accepted when the relative residual ends below 1e-10, so ill-conditioned
-    roots whose forward steps stagnate still pass on backward error. Each
-    retry restarts from a re-phased initial circle. Raises RootFindingError
-    when every attempt fails.
+    nonzero and the degree at most 4096. The iteration starts from Bini's
+    Newton-polygon points: one circle per edge of the upper convex hull of
+    (j, log|coeffs[j]|), with as many points as the edge is long, so roots of
+    very different moduli start near their own circle. A root stops moving
+    once its step satisfies |dz| <= tol (1 + |z|); later sweeps update only
+    the roots still moving, each against all r current roots. An attempt is
+    accepted when every relative residual ends below 1e-10, so
+    ill-conditioned roots whose forward steps stagnate still pass on backward
+    error. Each retry restarts from the same circles, re-phased. Raises
+    RootFindingError when every attempt fails.
     """
     c = np.asarray(coeffs, dtype=complex)
     r = len(c) - 1
     if r < 1:
         raise ValueError("polynomial must have degree >= 1")
+    if r > _MAX_DEGREE:
+        raise ValueError(f"polynomial degree {r} exceeds the root finder's limit of {_MAX_DEGREE}")
     if abs(c[r]) == 0.0:
         raise ValueError("leading coefficient is zero")
-    radius = abs(c[0] / c[r]) ** (1.0 / r) if c[0] != 0 else 1.0
+    radii, angles = _newton_polygon_starts(c)
+    cols = _newton_columns(c)
+    # one difference buffer for every sweep: reusing it, rather than
+    # allocating a smaller array as roots freeze, keeps peak RSS down
+    buf = np.empty((r, r), dtype=complex)
     for attempt in range(retries + 1):
-        z = radius * np.exp(1j * (2.0 * np.pi * np.arange(r) / r + 0.35 + 0.6 * attempt))
+        z = radii * np.exp(1j * (angles + 0.35 + 0.6 * attempt))
+        active = np.arange(r)
         for _ in range(cap):
-            w = _newton_ratio(c, z)
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, np.inf)
-            delta = w / (1.0 - w * (1.0 / diff).sum(axis=1))
-            z = z - delta
-            if not np.all(np.isfinite(z.real) & np.isfinite(z.imag)):
+            za = z[active]
+            w = _newton_ratio(cols, za)
+            diff = np.subtract(za[:, None], z[None, :], out=buf[: len(active)])
+            diff[np.arange(len(active)), active] = np.inf
+            np.reciprocal(diff, out=diff)
+            delta = w / (1.0 - w * diff.sum(axis=1))
+            za = za - delta
+            z[active] = za
+            if not np.all(np.isfinite(za)):
                 break
-            if np.all(np.abs(delta) <= tol * (1.0 + np.abs(z))):
+            active = active[np.abs(delta) > tol * (1.0 + np.abs(za))]
+            if len(active) == 0:
                 break
-        if np.all(np.isfinite(z.real) & np.isfinite(z.imag)) and np.max(
-            _relative_residuals(c, z)
-        ) <= _RESIDUAL_TOL:
+        if np.all(np.isfinite(z)) and np.max(_relative_residuals(c, z)) <= _RESIDUAL_TOL:
             return z
     raise RootFindingError(f"degree-{r} root iteration failed after {retries + 1} attempts")
 
@@ -144,6 +214,11 @@ def sample_elliptic_zeros(r, rng):
     """
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
+    if r > _MAX_ZEROS_DEGREE:
+        raise ValueError(
+            f"zeros ensemble needs r <= {_MAX_ZEROS_DEGREE}, got {r}: "
+            "the coefficient variances comb(r, j) / 2 overflow a double beyond it"
+        )
     std = np.sqrt([math.comb(r, j) / 2.0 for j in range(r + 1)])
     a = std * (rng.standard_normal(r + 1) + 1j * rng.standard_normal(r + 1))
     deg = r
@@ -152,7 +227,7 @@ def sample_elliptic_zeros(r, rng):
     roots = np.full(r, np.inf + 0j)
     if deg >= 1:
         roots[:deg] = aberth_roots(a[: deg + 1])
-    return np.stack([inverse_stereographic(z) for z in roots])
+    return inverse_stereographic(roots)
 
 
 # --- equal-area partition -----------------------------------------------------
@@ -266,8 +341,7 @@ def sample_spherical_ensemble(r, rng):
         if np.linalg.cond(a) <= 1e14:
             break
     b = (rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))) / np.sqrt(2.0)
-    eig = np.linalg.eigvals(np.linalg.solve(a, b))
-    return np.stack([inverse_stereographic(z) for z in eig])
+    return inverse_stereographic(np.linalg.eigvals(np.linalg.solve(a, b)))
 
 
 def sample_points(kind, r, rng):

@@ -6,8 +6,6 @@ numpy arrays of shape (3, 3), row-major. Everything is double precision.
 
 from __future__ import annotations
 
-import cmath
-
 import numpy as np
 
 # squared distance from the vertical axis below which a point counts as a pole;
@@ -86,22 +84,30 @@ def quaternion_matrix(q):
 
 
 def inverse_stereographic(z):
-    """Map a complex number to the unit sphere; infinity maps to (0, 0, 1).
+    """Map complex numbers to the unit sphere; infinity maps to (0, 0, 1).
 
+    A scalar gives shape (3,), an array of m values gives (m, 3).
     Convention: the north pole is the point at infinity, so z = 0 lands on
     the south pole and the unit circle lands on the equator.
     """
-    z = complex(z)
-    if not (cmath.isfinite(z)):
-        return np.array([0.0, 0.0, 1.0])
-    u, v = z.real, z.imag
-    m2 = u * u + v * v
-    if m2 > 1e16:
+    zs = np.atleast_1d(np.asarray(z, dtype=complex))
+    u, v = zs.real, zs.imag
+    out = np.empty(zs.shape + (3,))
+    with np.errstate(over="ignore", invalid="ignore"):
+        m2 = u * u + v * v
+        big = m2 > 1e16
+        small = ~big
+        den = 1.0 + m2[small]
+        out[small, 0] = 2.0 * u[small] / den
+        out[small, 1] = 2.0 * v[small] / den
+        out[small, 2] = (m2[small] - 1.0) / den
         # work with reciprocals to dodge overflow for huge |z|
-        q = 1.0 / m2
-        return np.array([2.0 * (u * q) / (1.0 + q), 2.0 * (v * q) / (1.0 + q), (1.0 - q) / (1.0 + q)])
-    den = 1.0 + m2
-    return np.array([2.0 * u / den, 2.0 * v / den, (m2 - 1.0) / den])
+        q = 1.0 / m2[big]
+        out[big, 0] = 2.0 * (u[big] * q) / (1.0 + q)
+        out[big, 1] = 2.0 * (v[big] * q) / (1.0 + q)
+        out[big, 2] = (1.0 - q) / (1.0 + q)
+    out[~np.isfinite(zs)] = (0.0, 0.0, 1.0)
+    return out[0] if np.ndim(z) == 0 else out
 
 
 def unit_vector(v):

@@ -145,6 +145,16 @@ def test_table_rejects_small_rmax(capsys):
     assert code == 2
 
 
+def test_generate_zeros_above_degree_limit_is_usage_error(capsys, tmp_path):
+    out_path = tmp_path / "c.json"
+    code, out, err = run_cli(
+        capsys, "generate", "--ensemble", "zeros", "--r", "1100", "--s", "1", "--out", str(out_path),
+    )
+    assert code == 2
+    assert out == "" and "r <= 1029" in err
+    assert not out_path.exists()
+
+
 def test_bad_arguments_exit_code(capsys):
     assert run_cli(capsys, "generate", "--ensemble", "nope", "--r", "3", "--out", "x")[0] == 2
     assert run_cli(capsys, "energy", "--in", "/nonexistent/path.json")[0] == 1

@@ -113,6 +113,76 @@ def test_aberth_roots_rejects_degenerate_input():
         aberth_roots(np.array([], dtype=complex))
 
 
+def kostlan_coeffs(rng, deg):
+    std = np.sqrt(np.array([math.comb(deg, j) / 2.0 for j in range(deg + 1)]))
+    return std * (rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1))
+
+
+def assert_converged_or_raised(coeffs):
+    # the finder may give up, but never returns a non-finite or unchecked root
+    from so3energy.ensembles import _RESIDUAL_TOL, _relative_residuals
+
+    try:
+        roots = aberth_roots(coeffs)
+    except RootFindingError:
+        return
+    assert len(roots) == len(coeffs) - 1
+    assert np.all(np.isfinite(roots))
+    assert np.max(_relative_residuals(coeffs, roots)) <= _RESIDUAL_TOL
+
+
+def test_aberth_roots_spread_moduli():
+    # roots 10^-6 .. 10^6: the Newton polygon has one edge per root
+    from so3energy.ensembles import _newton_polygon_starts, _relative_residuals
+
+    want = 10.0 ** np.arange(-6, 7)
+    coeffs = np.poly(want)[::-1].astype(complex)
+    radii, _ = _newton_polygon_starts(coeffs)
+    assert np.all(np.abs(np.sort(radii) / want - 1.0) <= 0.12)
+    roots = aberth_roots(coeffs)
+    assert np.max(_relative_residuals(coeffs, roots)) <= 1e-10
+    assert np.max(np.abs(np.sort(roots.real) / want - 1.0)) < 1e-10
+    assert np.max(np.abs(roots.imag) / want) < 1e-10
+
+
+def test_aberth_roots_near_double_root():
+    assert_converged_or_raised(np.poly([1.0, 1.0 + 1e-8, -2.0])[::-1].astype(complex))
+
+
+def test_aberth_roots_leading_coefficient_near_degenerate():
+    from so3energy.ensembles import _DEGENERATE_LEAD
+
+    assert_converged_or_raised(np.array([1.0, 0.5, 2.0 * _DEGENERATE_LEAD], dtype=complex))
+    coeffs = kostlan_coeffs(np.random.default_rng(80), 24)
+    coeffs[-1] = 1.5 * _DEGENERATE_LEAD
+    assert_converged_or_raised(coeffs)
+
+
+@pytest.mark.parametrize("deg", [24, 96])
+def test_aberth_roots_match_companion_eigenvalues(deg):
+    coeffs = kostlan_coeffs(np.random.default_rng(81 + deg), deg)
+    roots = aberth_roots(coeffs)
+    ref = np.polynomial.polynomial.polyroots(coeffs)
+    nearest = np.abs(roots[:, None] - ref[None, :]).argmin(axis=1)
+    assert sorted(nearest) == list(range(deg))  # a one-to-one matching
+    assert np.max(np.abs(roots - ref[nearest]) / np.abs(ref[nearest])) <= 1e-8
+
+
+def test_aberth_roots_refuses_degree_above_limit():
+    with pytest.raises(ValueError, match="4096"):
+        aberth_roots(np.ones(5001, dtype=complex))
+
+
+def test_sample_elliptic_zeros_degree_limit():
+    # comb(r, j) / 2 leaves the double range from r = 1030; refuse before drawing
+    rng = np.random.default_rng(82)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="r <= 1029"):
+        sample_elliptic_zeros(1030, rng)
+    assert rng.bit_generator.state == state
+    assert_on_sphere(sample_elliptic_zeros(1029, rng), 1029)
+
+
 def test_sample_elliptic_zeros_law():
     # degree-r zeros pushed to the sphere are invariant in law under
     # rotation; check the one-point function is uniform via the z-moment

@@ -1,5 +1,6 @@
 """Sphere and rotation primitives: frames, Haar sampling, stereographic map."""
 
+import cmath
 import math
 
 import numpy as np
@@ -115,6 +116,34 @@ def test_inverse_stereographic_conventions():
     for _ in range(50):
         z = complex(*rng.standard_normal(2)) * 10 ** rng.uniform(-3, 3)
         assert np.linalg.norm(inverse_stereographic(z)) == pytest.approx(1.0, abs=1e-12)
+
+
+def _scalar_inverse_stereographic(z):
+    # the per-point formula, kept as the reference for the array version
+    z = complex(z)
+    if not cmath.isfinite(z):
+        return np.array([0.0, 0.0, 1.0])
+    u, v = z.real, z.imag
+    m2 = u * u + v * v
+    if m2 > 1e16:
+        q = 1.0 / m2
+        return np.array([2.0 * (u * q) / (1.0 + q), 2.0 * (v * q) / (1.0 + q), (1.0 - q) / (1.0 + q)])
+    den = 1.0 + m2
+    return np.array([2.0 * u / den, 2.0 * v / den, (m2 - 1.0) / den])
+
+
+def test_inverse_stereographic_array_matches_scalar_formula_bit_for_bit():
+    rng = np.random.default_rng(14)
+    mags = 10.0 ** rng.uniform(-8.0, 300.0, 5000)
+    z = mags * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 5000))
+    z = np.concatenate([z, [0.0, complex("inf"), 1e8, 1e300, -1e300j, complex("nan")]])
+    want = np.stack([_scalar_inverse_stereographic(x) for x in z])
+    got = inverse_stereographic(z)
+    assert got.shape == (len(z), 3)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # a scalar still gives one point
+    assert inverse_stereographic(z[7]).shape == (3,)
+    assert np.array_equal(inverse_stereographic(z[7]), want[7])
 
 
 def test_unit_vector():
