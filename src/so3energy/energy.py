@@ -3,6 +3,21 @@
 The energy of O_1..O_n is -(1/2) sum_{i != j} log(6 - 2 trace(O_i^T O_j)).
 Pair sums are reduced over fixed 64x64 index tiles with an exact (fsum)
 combination of tile partials, so the value never depends on thread count.
+
+Fiber-pair identity. Take r fibers of s rotations, fiber i being
+H_i R(phi_i + 2 pi k / s) with H_i e3 = p_i. For fibers i < j put
+t = <p_i, p_j>, M = H_i^T H_j, psi = atan2(m12 - m21, m11 + m22) and
+theta = phi_j - phi_i - psi. Every one of their s^2 cross distances is
+a - b cos(theta + 2 pi m / s) with a = 6 - 2t, b = 2(1 + t), each m occurring
+s times, and the cyclotomic product (Gradshteyn-Ryzhik 1.394) gives the
+whole block as
+
+    s^2 * 2 log(sqrt 2 + q) + s * log((1 - y)^2 + 4 y sin^2(s theta / 2)),
+
+q = sqrt(1 - t), y = x^s, x = (sqrt 2 - q) / (sqrt 2 + q). The first term is
+the phase average, so the energy is predicted_energy(points, s) minus s times
+the sum of the second, mean-zero term over fiber pairs: r^2 logs for any s
+(fiber_pair_energy), against (rs)^2 / 2 for the direct pair sum.
 """
 
 from __future__ import annotations
@@ -17,6 +32,8 @@ from .quadrature import integrate
 _TILE = 64
 # squared-distance threshold under which a pair counts as coincident
 COINCIDENCE_TOL = 1e-14
+# largest n the direct route takes: its (n, n) float Gram is then 2 GiB
+MAX_DIRECT_N = 16384
 
 _LOG2 = math.log(2.0)
 _SQRT2 = math.sqrt(2.0)
@@ -39,8 +56,10 @@ def _upper_tiles(d):
     edges = list(range(0, n, _TILE)) + [n]
     for k in range(len(edges) - 1):
         a0, a1 = edges[k], edges[k + 1]
-        iu = np.triu_indices(a1 - a0, 1)
-        yield d[:, a0:a1, a0:a1][:, iu[0], iu[1]]
+        m = a1 - a0
+        iu = np.triu_indices(m, 1)
+        # a C-contiguous (b, k) gather, so every row is summed pairwise
+        yield np.take(d[:, a0:a1, a0:a1].reshape(b, m * m), iu[0] * m + iu[1], axis=1)
         for b0, b1 in zip(edges[k + 1 : -1], edges[k + 2 :]):
             yield d[:, a0:a1, b0:b1].reshape(b, -1)
 
@@ -50,10 +69,8 @@ def _upper_tile_sums(d, f):
 
     Returns (sums, mins) with shape (b,), mins being the smallest entry
     visited. Tile partials are combined with fsum per batch row, so the
-    value never depends on outer parallelism. Within a tile numpy sums
-    pairwise, except that the diagonal tiles of a batch with b > 1 come out
-    column-major and are summed in index order: the same slice can differ
-    in the last bits between b = 1 and b > 1.
+    value never depends on outer parallelism. Within a tile numpy sums each
+    row pairwise, so a slice gives the same bits whatever the batch size.
     """
     b, n, _ = d.shape
     if n < 2:
@@ -81,8 +98,15 @@ def _rows_energies(rows):
     """Energies and smallest pair squared distances of a (b, n, 9) batch.
 
     Each batch row holds n rotations flattened row-major; the squared
-    distances 6 - 2 <O_i, O_j> are formed in place in the Gram batch.
+    distances 6 - 2 <O_i, O_j> are formed in place in the Gram batch. Refuses
+    n > MAX_DIRECT_N before allocating it.
     """
+    n = rows.shape[1]
+    if n > MAX_DIRECT_N:
+        raise ValueError(
+            f"{n} rotations exceed the direct pair sum's limit of {MAX_DIRECT_N}"
+            f" (its {n} x {n} float Gram would take {8 * n * n / 2**30:.1f} GiB)"
+        )
     d = rows @ rows.transpose(0, 2, 1)
     d *= -2.0
     d += 6.0
@@ -145,6 +169,55 @@ def predicted_energy(points, s):
     if r < 1 or s < 1:
         raise ValueError("need r >= 1 and s >= 1")
     return fibered_energy(r, s, sphere_kernel_energy(pts))
+
+
+def _fluctuation_logs(slog_x, s_theta):
+    """log((1 - y)^2 + 4 y sin^2(s theta / 2)) with y = x^s = exp(slog_x).
+
+    1 - y is taken as -expm1(s log x): at y = 1 - 1e-9 and s theta = 1e-9,
+    log1p(-2 y cos(s theta) + y^2) would give -inf for the true -40.75.
+    """
+    y = np.exp(slog_x)
+    return np.log(np.square(np.expm1(slog_x)) + 4.0 * y * np.square(np.sin(0.5 * s_theta)))
+
+
+def fiber_pair_energy(frames, phases, s):
+    """Energy and smallest pair squared distance of r fibers of s rotations.
+
+    Fiber i is frames[i] @ R(phases[i] + 2 pi k / s), k = 1..s, the rows
+    construct.fiber_matrices builds. By the fiber-pair identity (module
+    docstring) the energy is predicted_energy of the base points
+    frames[:, :, 2] minus s times the fluctuation logs summed over fiber
+    pairs, which come from three r x r products. A fiber pair's smallest
+    squared distance is a - b cos(dist(theta, 2 pi Z / s)); the returned
+    minimum also covers the within-fiber 4 - 4 cos(2 pi / s).
+    """
+    frames = np.asarray(frames, dtype=float)
+    phases = np.asarray(phases, dtype=float)
+    r = len(frames)
+    pts = frames[:, :, 2]
+    cols = frames[:, :, :2]
+    a = cols.reshape(r, 6)
+    b = (cols[:, :, ::-1] * (1.0, -1.0)).reshape(r, 6)
+    t = np.clip(pts @ pts.T, -1.0, 1.0)
+    # a @ a.T holds m11 + m22 and a @ b.T holds m12 - m21 of H_i^T H_j
+    theta = phases[None, :] - phases[:, None] - np.arctan2(a @ b.T, a @ a.T)
+    # theta less its nearest multiple of 2 pi / s: |u| = dist(theta, 2 pi Z / s),
+    # and sin^2(s u / 2) = sin^2(s theta / 2), with small arguments for sin
+    step = 2.0 * math.pi / s
+    u = theta - step * np.rint(theta / step)
+    q = np.sqrt(1.0 - t)
+    with np.errstate(divide="ignore"):
+        # s log x with x = (sqrt 2 - q) / (sqrt 2 + q) = 1 - 2q / (sqrt 2 + q)
+        slog_x = s * np.log1p(-2.0 * q / (_SQRT2 + q))
+        fluct = _fluctuation_logs(slog_x, s * u)
+    sums, _ = _upper_tile_sums(fluct[None], lambda v: v)
+    # a - b cos(u) = 4 (1 - t) + 4 (1 + t) sin^2(u / 2), without cancellation
+    dmin = 4.0 * (1.0 - t) + 4.0 * (1.0 + t) * np.square(np.sin(0.5 * u))
+    np.fill_diagonal(dmin, np.inf)
+    within = 8.0 * math.sin(math.pi / s) ** 2 if s > 1 else math.inf
+    energy = predicted_energy(pts, s) - s * float(sums[0])
+    return energy, min(float(dmin.min()), within)
 
 
 def circle_average(h33, alpha, beta):

@@ -125,9 +125,7 @@ def _newton_polygon_starts(c):
     The upper convex hull of the points (j, log|c_j|), exactly zero
     coefficients left out, has one edge per group of roots of like modulus:
     an edge from i0 to i1 holds i1 - i0 points on a circle of radius
-    (|c_i0| / |c_i1|)^(1/(i1 - i0)), turned by 2 pi i0 / r. When c_0 = 0 the
-    first edge's circle (the unit circle if there is none) takes the
-    remaining starts.
+    (|c_i0| / |c_i1|)^(1/(i1 - i0)), turned by 2 pi i0 / r. Needs c_0 != 0.
     """
     r = len(c) - 1
     idx = np.flatnonzero(c)
@@ -145,10 +143,6 @@ def _newton_polygon_starts(c):
     i0, i1 = idx[hull[:-1]], idx[hull[1:]]
     counts = i1 - i0
     log_radii = (y[hull[:-1]] - y[hull[1:]]) / counts
-    if idx[0] > 0:
-        i0 = np.append(0, i0)
-        counts = np.append(idx[0], counts)
-        log_radii = np.append(log_radii[0] if len(log_radii) else 0.0, log_radii)
     edge = np.repeat(np.arange(len(counts)), counts)
     k = np.arange(r) - np.repeat(i0, counts)
     angles = 2.0 * np.pi * (k / counts[edge] + i0[edge] / r)
@@ -159,7 +153,9 @@ def aberth_roots(coeffs, tol=1e-12, cap=200, retries=3):
     """All complex roots of sum_j coeffs[j] z^j by Aberth-Ehrlich iteration.
 
     coeffs runs from the constant term up; the leading coefficient must be
-    nonzero and the degree at most 4096. The iteration starts from Bini's
+    nonzero and the degree at most 4096. Each leading zero coefficient
+    (coeffs[0] = coeffs[1] = ... = 0) gives one exact root 0, returned first;
+    the rest solve the deflated polynomial. The iteration starts from Bini's
     Newton-polygon points: one circle per edge of the upper convex hull of
     (j, log|coeffs[j]|), with as many points as the edge is long, so roots of
     very different moduli start near their own circle. A root stops moving
@@ -178,6 +174,11 @@ def aberth_roots(coeffs, tol=1e-12, cap=200, retries=3):
         raise ValueError(f"polynomial degree {r} exceeds the root finder's limit of {_MAX_DEGREE}")
     if abs(c[r]) == 0.0:
         raise ValueError("leading coefficient is zero")
+    k = int(np.flatnonzero(c)[0])
+    if k:
+        # at z = 0 the relative residual is 0/0, so exact zero roots are split off
+        zeros = np.zeros(k, dtype=complex)
+        return zeros if k == r else np.concatenate([zeros, aberth_roots(c[k:], tol, cap, retries)])
     radii, angles = _newton_polygon_starts(c)
     cols = _newton_columns(c)
     # one difference buffer for every sweep: reusing it, rather than

@@ -11,14 +11,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from so3energy.construct import build_configuration, fiber_energy_closed_form, fiber_matrices
 from so3energy.energy import (
     COINCIDENCE_TOL,
+    MAX_DIRECT_N,
     EnergyValue,
+    _fluctuation_logs,
+    _rows_energies,
     circle_average,
     circle_average_quadrature,
     crossed_expectation,
+    fiber_pair_energy,
     log_energy,
     pair_log_sums,
     predicted_energy,
@@ -68,13 +74,16 @@ def test_pair_log_sums_tiling_boundary():
 
 
 def test_pair_log_sums_batched_matches_loop():
+    # every row of a tile, diagonal tiles included, is summed pairwise, so a
+    # slice gives the same bits alone and inside a batch (n = 150: three tile rows)
     rng = np.random.default_rng(43)
-    batch = np.stack([6.0 - 2.0 * np.einsum("aij,bij->ab", m, m) for m in (haar_rotations(rng, 9) for _ in range(5))])
-    sums, mins = pair_log_sums(batch)
-    for k in range(5):
-        sk, mk = pair_log_sums(batch[k : k + 1])
-        assert sums[k] == pytest.approx(sk[0], rel=1e-13)
-        assert mins[k] == mk[0]
+    for n in (9, 150):
+        batch = np.stack([6.0 - 2.0 * np.einsum("aij,bij->ab", m, m) for m in (haar_rotations(rng, n) for _ in range(5))])
+        sums, mins = pair_log_sums(batch)
+        for k in range(5):
+            sk, mk = pair_log_sums(batch[k : k + 1])
+            assert sums[k] == sk[0]
+            assert mins[k] == mk[0]
 
 
 def test_log_energy_fiber_identity():
@@ -97,6 +106,21 @@ def test_log_energy_coincident_matrices_is_infinite():
 
 def test_log_energy_single_matrix_is_zero():
     assert log_energy(np.eye(3)[None]).value == 0.0
+
+
+def test_direct_route_refuses_above_size_limit_before_allocating():
+    import tracemalloc
+
+    mats = np.broadcast_to(np.eye(3), (MAX_DIRECT_N + 1, 3, 3))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=str(MAX_DIRECT_N)):
+            log_energy(mats)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the refused Gram would be 2 GiB; the rows themselves are 1.2 MB
+    assert peak < 16 * 2**20
 
 
 def test_coincidence_tolerance_is_tiny():
@@ -209,3 +233,74 @@ def test_crossed_expectation_by_direct_phase_average():
     # uniform phase average over one phase suffices: the difference of
     # phases is what matters, so averaging one of them is exact
     assert np.mean(totals) == pytest.approx(crossed_expectation(p, q, s), rel=1e-10)
+
+
+# --- fiber-pair identity --------------------------------------------------------
+
+
+def _both_routes(frames, phases, s):
+    direct, dmin = _rows_energies(fiber_matrices(frames, phases, s)[None])
+    return fiber_pair_energy(frames, phases, s), (float(direct[0]), float(dmin[0]))
+
+
+def _grid_points(rng):
+    # both poles, an antipodal pair, base points with t within 1e-12 of 1, and
+    # generic points
+    p = unit_vector(rng.standard_normal(3))
+    near = unit_vector(p + 1e-6 * unit_vector(np.cross(p, rng.standard_normal(3))))
+    assert 1.0 - 1e-12 < float(p @ near) < 1.0
+    generic = rng.standard_normal((6, 3))
+    generic /= np.linalg.norm(generic, axis=1, keepdims=True)
+    poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    return np.vstack([poles, p, -p, near, generic])
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 7, 17])
+def test_fiber_pair_energy_matches_direct_route(s):
+    rng = np.random.default_rng(100 + s)
+    pts = _grid_points(rng)
+    cases = [pts, pts[:2], pts[2:4], pts[2:5]]
+    for points in cases:
+        frames = base_frames(points)
+        (e, m), (e_direct, m_direct) = _both_routes(frames, rng.uniform(0.0, 2.0 * math.pi, len(points)), s)
+        assert e == pytest.approx(e_direct, rel=1e-12)
+        assert m == pytest.approx(m_direct, rel=1e-9, abs=1e-13)
+        assert m >= COINCIDENCE_TOL
+
+
+@pytest.mark.parametrize("s", [2, 3, 7, 17])
+def test_fiber_pair_energy_aligned_phases_are_coincident(s):
+    # fibers over one base point whose phases differ by a multiple of 2 pi / s
+    # share a rotation; both routes put the minimum under the tolerance
+    rng = np.random.default_rng(200 + s)
+    points = _grid_points(rng)[[2, 0, 5, 2]]
+    phases = rng.uniform(0.0, 2.0 * math.pi, 4)
+    phases[3] = phases[0] + 2.0 * math.pi * 3 / s
+    (_, m), (_, m_direct) = _both_routes(base_frames(points), phases, s)
+    assert m < COINCIDENCE_TOL and m_direct < COINCIDENCE_TOL
+
+
+def test_fluctuation_log_near_coincidence_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    slog_x, s_theta = math.log1p(-1e-9), 1e-9
+    got = float(_fluctuation_logs(np.array(slog_x), np.array(s_theta)))
+    with mpmath.workdps(50):
+        y = mpmath.exp(mpmath.mpf(slog_x))
+        ref = mpmath.log((1 - y) ** 2 + 4 * y * mpmath.sin(mpmath.mpf(s_theta) / 2) ** 2)
+    assert math.isfinite(got)
+    assert abs(got - float(ref)) <= 1e-10
+    assert float(ref) == pytest.approx(-40.75, abs=0.01)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), r=st.integers(2, 12), s=st.integers(2, 9))
+def test_fiber_pair_energy_invariant_under_left_rotation_and_permutation(seed, r, s):
+    rng = np.random.default_rng(seed)
+    frames = haar_rotations(rng, r)
+    phases = rng.uniform(0.0, 2.0 * math.pi, r)
+    e, _ = fiber_pair_energy(frames, phases, s)
+    rotated, _ = fiber_pair_energy(haar_rotations(rng, 1)[0] @ frames, phases, s)
+    perm = rng.permutation(r)
+    permuted, _ = fiber_pair_energy(frames[perm], phases[perm], s)
+    assert rotated == pytest.approx(e, rel=1e-12)
+    assert permuted == pytest.approx(e, rel=1e-12)

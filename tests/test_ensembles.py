@@ -113,6 +113,17 @@ def test_aberth_roots_rejects_degenerate_input():
         aberth_roots(np.array([], dtype=complex))
 
 
+@pytest.mark.parametrize(
+    "coeffs, roots", [([0, 1], [0]), ([0, 0, 1], [0, 0]), ([0, -1, 0, 1], [-1, 0, 1])]
+)
+def test_aberth_roots_exact_zero_roots(coeffs, roots):
+    # leading zero coefficients give exact zero roots; the rest are solved
+    got = aberth_roots(np.array(coeffs, dtype=complex))
+    assert len(got) == len(roots)
+    assert np.sum(got == 0) == roots.count(0)
+    assert np.allclose(np.sort_complex(got), roots, atol=1e-12)
+
+
 def kostlan_coeffs(rng, deg):
     std = np.sqrt(np.array([math.comb(deg, j) / 2.0 for j in range(deg + 1)]))
     return std * (rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1))

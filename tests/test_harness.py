@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from so3energy.energy import COINCIDENCE_TOL
 from so3energy.ensembles import EnsembleSpec
 from so3energy.harness import (
     EstimateReport,
@@ -199,11 +200,11 @@ def test_mean_matches_direct_energy_computation():
 
 @pytest.mark.parametrize("kind, r, s, resample", [("zeros", 30, 3, True), ("uniform", 10, 7, False)])
 def test_chunk_energies_equal_log_energy_of_rebuilt_configurations(kind, r, s, resample):
-    # one route from rotation rows to energy: a single-trial chunk gives
-    # exactly log_energy of the configuration rebuilt from the trial's stream
-    # (n > 64, so several tiles). In a multi-trial chunk the diagonal tiles
-    # of the (b, n, n) batch are summed in another order, which moves only
-    # the last bits.
+    # fixed-point trials take the direct pair sum: exactly log_energy of the
+    # configuration rebuilt from the trial's stream (n > 64, so several tiles),
+    # in a single-trial chunk and in a 12-trial one. Resampled trials with
+    # s >= 2 take the fiber-pair identity: equal to it within 1e-12 relative,
+    # and the same bits whatever chunk holds them.
     from so3energy.construct import build_configuration
     from so3energy.energy import log_energy
     from so3energy.ensembles import sample_points
@@ -221,5 +222,45 @@ def test_chunk_energies_equal_log_energy_of_rebuilt_configurations(kind, r, s, r
         pts = sample_points(kind, r, rng) if resample else points
         direct = log_energy(build_configuration(pts, s, rng)).value
         single, _ = _chunk_energies((kind, r, s, seed, t, t + 1, frames))
-        assert single[0] == direct
-        assert batched[t] == pytest.approx(direct, rel=1e-13)
+        assert single[0] == batched[t]
+        if resample:
+            assert batched[t] == pytest.approx(direct, rel=1e-12)
+        else:
+            assert batched[t] == direct
+
+
+class _ZeroPhases:
+    """A trial stream whose phase draws are all zero; other draws pass through."""
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def uniform(self, low, high, size):
+        return np.zeros(size)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def test_coincident_resampled_trial_is_excluded(monkeypatch):
+    # base points 0 and 1 coincide in every trial; trial 0 also draws equal
+    # phases, so two of its rotations coincide and only it is excluded
+    from so3energy import harness
+
+    real_stream, real_sample = harness.keyed_stream, harness.sample_points
+
+    def stream(seed, domain, index=0):
+        rng = real_stream(seed, domain, index)
+        return _ZeroPhases(rng) if (domain, index) == (DOMAIN_TRIAL, 0) else rng
+
+    def sample(kind, r, rng):
+        pts = real_sample(kind, r, rng)
+        pts[1] = pts[0]
+        return pts
+
+    monkeypatch.setattr(harness, "keyed_stream", stream)
+    monkeypatch.setattr(harness, "sample_points", sample)
+    energies, mins = _chunk_energies(("uniform", 4, 3, 8, 0, 3, None))
+    assert mins[0] < COINCIDENCE_TOL and mins[1] > 1e-6 and mins[2] > 1e-6
+    rep = run_experiment(ExperimentConfig(EnsembleSpec("uniform", 4, s=3), 1000, master_seed=8))
+    assert rep.excluded == 1
