@@ -107,9 +107,8 @@ def _cmd_generate(args):
     s = _resolve_s(args.ensemble, args.r, args.s)
     points = sample_points(args.ensemble, args.r, keyed_stream(args.seed, DOMAIN_POINTS))
     config = build_configuration(points, s, args.seed, ensemble=args.ensemble)
-    # before saving, so a size log_energy refuses leaves no file behind
-    e = log_energy(config)
     save_configuration(config, args.out, fmt=args.format)
+    e = log_energy(config)
     print(
         json.dumps(
             {

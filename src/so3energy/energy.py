@@ -16,14 +16,17 @@ whole block as
 
 q = sqrt(1 - t), y = x^s, x = (sqrt 2 - q) / (sqrt 2 + q). The first term is
 the phase average, so the energy is predicted_energy(points, s) minus s times
-the sum of the second, mean-zero term over fiber pairs: r^2 logs for any s
-(fiber_pair_energy), against (rs)^2 / 2 for the direct pair sum.
+the sum of the second, mean-zero term over fiber pairs: a few transcendental
+functions per fiber pair for any s (fiber_pair_energies, which sums each
+trial's pair terms pairwise), against s^2 logs per fiber pair for the direct
+pair sum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,8 +35,9 @@ from .quadrature import integrate
 _TILE = 64
 # squared-distance threshold under which a pair counts as coincident
 COINCIDENCE_TOL = 1e-14
-# largest n the direct route takes: its (n, n) float Gram is then 2 GiB
-MAX_DIRECT_N = 16384
+# (b, r, r) entries fiber_pair_energies handles at once; every value is
+# computed per trial, so the grouping only keeps its arrays in cache
+_FIBER_GROUP = 2**14
 
 _LOG2 = math.log(2.0)
 _SQRT2 = math.sqrt(2.0)
@@ -48,20 +52,30 @@ class EnergyValue:
         return self.value
 
 
+@lru_cache(maxsize=None)
+def _upper_flat(m):
+    """Row-major flat indices of the strict upper triangle of an m x m array."""
+    iu = np.triu_indices(m, 1)
+    flat = iu[0] * m + iu[1]
+    flat.setflags(write=False)
+    return flat
+
+
 def _upper_tiles(d):
     """The strict upper triangle of the trailing (n, n) axes of d, as (b, k)
     tiles of at most 64x64 entries, in a fixed order: each tile row starts
-    with its diagonal tile."""
+    with its diagonal tile. d is an array or a _RowDistances; either way only
+    one 64-row band of it is held at a time."""
     b, n, _ = d.shape
-    edges = list(range(0, n, _TILE)) + [n]
-    for k in range(len(edges) - 1):
-        a0, a1 = edges[k], edges[k + 1]
+    band = d.band if isinstance(d, _RowDistances) else (lambda a0, a1: d[:, a0:a1, a0:])
+    for a0 in range(0, n, _TILE):
+        a1 = min(a0 + _TILE, n)
         m = a1 - a0
-        iu = np.triu_indices(m, 1)
+        strip = band(a0, a1)
         # a C-contiguous (b, k) gather, so every row is summed pairwise
-        yield np.take(d[:, a0:a1, a0:a1].reshape(b, m * m), iu[0] * m + iu[1], axis=1)
-        for b0, b1 in zip(edges[k + 1 : -1], edges[k + 2 :]):
-            yield d[:, a0:a1, b0:b1].reshape(b, -1)
+        yield np.take(strip[:, :, :m].reshape(b, m * m), _upper_flat(m), axis=1)
+        for c0 in range(m, n - a0, _TILE):
+            yield strip[:, :, c0 : c0 + _TILE].reshape(b, -1)
 
 
 def _upper_tile_sums(d, f):
@@ -85,32 +99,44 @@ def _upper_tile_sums(d, f):
     return np.array([math.fsum(row) for row in stacked]), mins
 
 
+class _RowDistances:
+    """The (b, n, n) squared distances 6 - 2 <O_i, O_j> of a (b, n, 9) batch of
+    rotations flattened row-major, formed one band of rows at a time as the
+    pair reducer reads them: no n x n array is ever built."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        b, n, _ = rows.shape
+        self.shape = (b, n, n)
+
+    def band(self, a0, a1):
+        """Rows a0..a1-1 against columns a0..n-1, shape (b, a1 - a0, n - a0)."""
+        d = self.rows[:, a0:a1] @ self.rows[:, a0:].transpose(0, 2, 1)
+        d *= -2.0
+        d += 6.0
+        return d
+
+
 def pair_log_sums(dist_sq):
     """Tiled sum over unordered pairs of log(dist_sq), batched.
 
-    dist_sq has shape (b, n, n); returns (sums, min_offdiag) with shape (b,).
+    dist_sq is a (b, n, n) array or a _RowDistances; returns
+    (sums, min_offdiag) with shape (b,).
     """
+    if not isinstance(dist_sq, _RowDistances):
+        dist_sq = np.asarray(dist_sq, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _upper_tile_sums(np.asarray(dist_sq, dtype=float), np.log)
+        return _upper_tile_sums(dist_sq, np.log)
 
 
 def _rows_energies(rows):
     """Energies and smallest pair squared distances of a (b, n, 9) batch.
 
-    Each batch row holds n rotations flattened row-major; the squared
-    distances 6 - 2 <O_i, O_j> are formed in place in the Gram batch. Refuses
-    n > MAX_DIRECT_N before allocating it.
+    Each batch row holds n rotations flattened row-major. The squared
+    distances are formed band by band (_RowDistances), so the largest array
+    is (b, 64, n) and any n that fits its rows can be summed.
     """
-    n = rows.shape[1]
-    if n > MAX_DIRECT_N:
-        raise ValueError(
-            f"{n} rotations exceed the direct pair sum's limit of {MAX_DIRECT_N}"
-            f" (its {n} x {n} float Gram would take {8 * n * n / 2**30:.1f} GiB)"
-        )
-    d = rows @ rows.transpose(0, 2, 1)
-    d *= -2.0
-    d += 6.0
-    sums, mins = pair_log_sums(d)
+    sums, mins = pair_log_sums(_RowDistances(rows))
     return -sums, mins
 
 
@@ -181,27 +207,39 @@ def _fluctuation_logs(slog_x, s_theta):
     return np.log(np.square(np.expm1(slog_x)) + 4.0 * y * np.square(np.sin(0.5 * s_theta)))
 
 
-def fiber_pair_energy(frames, phases, s):
-    """Energy and smallest pair squared distance of r fibers of s rotations.
+def fiber_pair_energies(frames, phases, s):
+    """Energies and smallest pair squared distances of b trials of r fibers.
 
-    Fiber i is frames[i] @ R(phases[i] + 2 pi k / s), k = 1..s, the rows
-    construct.fiber_matrices builds. By the fiber-pair identity (module
-    docstring) the energy is predicted_energy of the base points
-    frames[:, :, 2] minus s times the fluctuation logs summed over fiber
-    pairs, which come from three r x r products. A fiber pair's smallest
+    Trial k's fiber i is frames[k, i] @ R(phases[k, i] + 2 pi j / s),
+    j = 1..s, the rows construct.fiber_matrices builds; frames is (b, r, 3, 3)
+    and phases (b, r). By the fiber-pair identity (module docstring) an
+    energy is the phase average fibered_energy of the base points
+    frames[k, :, :, 2] minus s times the fluctuation logs summed over fiber
+    pairs, which come from three (b, r, r) products. A fiber pair's smallest
     squared distance is a - b cos(dist(theta, 2 pi Z / s)); the returned
-    minimum also covers the within-fiber 4 - 4 cos(2 pi / s).
+    minima also cover the within-fiber 4 - 4 cos(2 pi / s).
     """
     frames = np.asarray(frames, dtype=float)
     phases = np.asarray(phases, dtype=float)
-    r = len(frames)
-    pts = frames[:, :, 2]
-    cols = frames[:, :, :2]
-    a = cols.reshape(r, 6)
-    b = (cols[:, :, ::-1] * (1.0, -1.0)).reshape(r, 6)
-    t = np.clip(pts @ pts.T, -1.0, 1.0)
-    # a @ a.T holds m11 + m22 and a @ b.T holds m12 - m21 of H_i^T H_j
-    theta = phases[None, :] - phases[:, None] - np.arctan2(a @ b.T, a @ a.T)
+    nb, r = phases.shape
+    group = max(1, _FIBER_GROUP // (r * r))
+    if nb > group:
+        parts = [fiber_pair_energies(frames[k : k + group], phases[k : k + group], s) for k in range(0, nb, group)]
+        return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+    flat = _upper_flat(r)
+
+    def pairs(x):
+        # the entries i < j of a (b, r, r) batch, as C-contiguous (b, r(r - 1)/2) rows
+        return np.take(x.reshape(nb, r * r), flat, axis=1)
+
+    pts = frames[..., 2]
+    cols = frames[..., :2]
+    a = cols.reshape(nb, r, 6)
+    b = (cols[..., ::-1] * (1.0, -1.0)).reshape(nb, r, 6)
+    t = np.clip(pairs(pts @ pts.transpose(0, 2, 1)), -1.0, 1.0)
+    # a @ a^T holds m11 + m22 and a @ b^T holds m12 - m21 of H_i^T H_j
+    psi = np.arctan2(pairs(a @ b.transpose(0, 2, 1)), pairs(a @ a.transpose(0, 2, 1)))
+    theta = pairs(phases[:, None, :] - phases[:, :, None]) - psi
     # theta less its nearest multiple of 2 pi / s: |u| = dist(theta, 2 pi Z / s),
     # and sin^2(s u / 2) = sin^2(s theta / 2), with small arguments for sin
     step = 2.0 * math.pi / s
@@ -211,13 +249,19 @@ def fiber_pair_energy(frames, phases, s):
         # s log x with x = (sqrt 2 - q) / (sqrt 2 + q) = 1 - 2q / (sqrt 2 + q)
         slog_x = s * np.log1p(-2.0 * q / (_SQRT2 + q))
         fluct = _fluctuation_logs(slog_x, s * u)
-    sums, _ = _upper_tile_sums(fluct[None], lambda v: v)
-    # a - b cos(u) = 4 (1 - t) + 4 (1 + t) sin^2(u / 2), without cancellation
-    dmin = 4.0 * (1.0 - t) + 4.0 * (1.0 + t) * np.square(np.sin(0.5 * u))
-    np.fill_diagonal(dmin, np.inf)
+    # each row is contiguous, so numpy sums it pairwise, batch or not
+    kernel = 2.0 * sphere_kernel(t).sum(axis=1)
+    energies = fibered_energy(r, s, kernel) - s * fluct.sum(axis=1)
+    # a - b cos(u) = 4 (1 - t) + 4 (1 + t) sin^2(u / 2), without cancellation.
+    # sin^2 v <= v^2 caps each trial's minimum, so sin is taken only on the
+    # pairs whose 4 (1 - t) lies under that cap.
+    lo = 4.0 * (1.0 - t)
+    cap = (lo + (1.0 + t) * np.square(u)).min(axis=1, initial=np.inf, keepdims=True)
+    near = lo <= cap
+    dmin = np.full_like(lo, np.inf)
+    dmin[near] = lo[near] + 4.0 * (1.0 + t[near]) * np.square(np.sin(0.5 * u[near]))
     within = 8.0 * math.sin(math.pi / s) ** 2 if s > 1 else math.inf
-    energy = predicted_energy(pts, s) - s * float(sums[0])
-    return energy, min(float(dmin.min()), within)
+    return energies, dmin.min(axis=1, initial=within)
 
 
 def circle_average(h33, alpha, beta):

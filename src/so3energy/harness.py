@@ -18,7 +18,7 @@ import numpy as np
 
 from .constants import eap_energy_upper_bound, expected_configuration_energy, optimal_s
 from .construct import fiber_matrices
-from .energy import COINCIDENCE_TOL, _rows_energies, fiber_pair_energy, predicted_energy
+from .energy import COINCIDENCE_TOL, _rows_energies, fiber_pair_energies, predicted_energy
 from .ensembles import EnsembleSpec, sample_points
 from .geometry import base_frames
 from .streams import DOMAIN_POINTS, DOMAIN_TRIAL, keyed_stream
@@ -80,38 +80,40 @@ class EstimateReport:
 
 
 def chunk_size(n):
-    """Trials per chunk: at most 4096, and few enough that the chunk's (b, n, n)
-    float Gram batch fits in 32 MB. That batch exists only on the direct
-    route (fixed points, or s = 1); resampled trials with s >= 2 build no
-    n x n array. A chunk holds at least one trial, so past n = 2048 a direct
-    batch is one trial's n x n Gram, larger than 32 MB."""
+    """Trials per chunk: at most 4096, and few enough that a (b, n, n) float
+    batch would fit in 32 MB, with at least one trial. No such batch is
+    built: the direct route forms it in (b, 64, n) row bands, and resampled
+    trials with s >= 3 use (b, r, r) arrays."""
     return max(1, min(4096, 2**25 // (8 * n * n)))
 
 
 def _chunk_energies(args):
     """Energies and coincidence minima for trials lo..hi-1 of one experiment.
 
-    Resampled trials with s >= 2 take fiber_pair_energy one at a time. The
-    rest take the direct pair sum over their rotation rows: with s = 1 the
-    fiber identity saves nothing, and fixed-point runs check the identity's
-    phase average, so computing them through it would make the check circular.
+    Resampled trials with s >= 3 take fiber_pair_energies, the whole chunk
+    at once. The rest take the direct pair sum over their rotation rows. The
+    identity costs about as much per fiber pair as the direct sum spends on
+    nine rotation pairs, so with s <= 2 (at most four) it is slower once r
+    passes a few dozen; fixed-point runs check the identity's phase average,
+    so computing them through it would make the check circular.
     """
     kind, r, s, master_seed, lo, hi, frames = args
-    if frames is None and s >= 2:
-        out = np.empty((2, hi - lo))
-        for i, t in enumerate(range(lo, hi)):
-            rng = keyed_stream(master_seed, DOMAIN_TRIAL, t)
-            h = base_frames(sample_points(kind, r, rng))
-            out[:, i] = fiber_pair_energy(h, rng.uniform(0.0, _TWO_PI, r), s)
-        return out[0], out[1]
-    rows = np.empty((hi - lo, r * s, 9))
+    fiber_route = frames is None and s >= 3
+    if fiber_route:
+        hs = np.empty((hi - lo, r, 3, 3))
+        phases = np.empty((hi - lo, r))
+    else:
+        rows = np.empty((hi - lo, r * s, 9))
     for i, t in enumerate(range(lo, hi)):
         rng = keyed_stream(master_seed, DOMAIN_TRIAL, t)
-        if frames is None:
-            h = base_frames(sample_points(kind, r, rng))
+        h = frames if frames is not None else base_frames(sample_points(kind, r, rng))
+        phi = rng.uniform(0.0, _TWO_PI, r)
+        if fiber_route:
+            hs[i], phases[i] = h, phi
         else:
-            h = frames
-        rows[i] = fiber_matrices(h, rng.uniform(0.0, _TWO_PI, r), s)
+            rows[i] = fiber_matrices(h, phi, s)
+    if fiber_route:
+        return fiber_pair_energies(hs, phases, s)
     return _rows_energies(rows)
 
 

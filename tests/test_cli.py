@@ -155,18 +155,6 @@ def test_generate_zeros_above_degree_limit_is_usage_error(capsys, tmp_path):
     assert not out_path.exists()
 
 
-def test_generate_above_direct_limit_is_usage_error(capsys, tmp_path):
-    # n = 5462 * 3 = 16,386 rotations: log_energy refuses the 2 GiB Gram
-    # before anything is written
-    out_path = tmp_path / "c.json"
-    code, out, err = run_cli(
-        capsys, "generate", "--ensemble", "uniform", "--r", "5462", "--s", "3", "--out", str(out_path),
-    )
-    assert code == 2
-    assert out == "" and "16384" in err
-    assert not out_path.exists()
-
-
 def test_bad_arguments_exit_code(capsys):
     assert run_cli(capsys, "generate", "--ensemble", "nope", "--r", "3", "--out", "x")[0] == 2
     assert run_cli(capsys, "energy", "--in", "/nonexistent/path.json")[0] == 1
