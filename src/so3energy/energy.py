@@ -52,9 +52,13 @@ class EnergyValue:
         return self.value
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _upper_flat(m):
-    """Row-major flat indices of the strict upper triangle of an m x m array."""
+    """Row-major flat indices of the strict upper triangle of an m x m array.
+
+    Cached, read-only: a run asks for the same two tile sizes and one fiber
+    count over and over; the bound keeps a sweep over r from holding every
+    size (4 MB each at r = 1029)."""
     iu = np.triu_indices(m, 1)
     flat = iu[0] * m + iu[1]
     flat.setflags(write=False)
@@ -64,8 +68,8 @@ def _upper_flat(m):
 def _upper_tiles(d):
     """The strict upper triangle of the trailing (n, n) axes of d, as (b, k)
     tiles of at most 64x64 entries, in a fixed order: each tile row starts
-    with its diagonal tile. d is an array or a _RowDistances; either way only
-    one 64-row band of it is held at a time."""
+    with its diagonal tile. d is a (b, n, n) array or a _RowDistances, which
+    forms each 64-row band only when the iteration reaches it."""
     b, n, _ = d.shape
     band = d.band if isinstance(d, _RowDistances) else (lambda a0, a1: d[:, a0:a1, a0:])
     for a0 in range(0, n, _TILE):
