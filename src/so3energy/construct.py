@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .geometry import base_frames, rotation_mask
-from .streams import DOMAIN_FIBER, keyed_stream
+from .streams import DOMAIN_FIBER, keyed_uniforms
 
 FORMAT_VERSION = "1"
 
@@ -43,20 +43,26 @@ class Configuration:
 
 
 def fiber_matrices(frames, phases, s):
-    """Vectorized fiber construction: (r,3,3) frames, (r,) phases -> (r*s, 9) rows.
+    """Vectorized fiber construction: frames (..., r, 3, 3) and phases (..., r)
+    -> (..., r*s, 9) rows.
 
     Row i*s+j is frames[i] @ R(2 pi (j+1)/s + phases[i]) flattened row-major.
     Columns 1 and 2 of each product mix the frame's first two columns by the
-    angle; column 3 is the frame's third column unchanged.
+    angle; column 3 is the frame's third column unchanged. Leading axes
+    broadcast, so one (r, 3, 3) set of frames takes a (b, r) batch of phases;
+    every row has the bits of the unbatched call.
     """
-    r = len(frames)
-    ang = np.asarray(phases, dtype=float)[:, None] + _TWO_PI * np.arange(1, s + 1)[None, :] / s
-    c, sn = np.cos(ang), np.sin(ang)
-    out = np.empty((r, s, 3, 3))
-    out[..., 0] = frames[:, None, :, 0] * c[..., None] + frames[:, None, :, 1] * sn[..., None]
-    out[..., 1] = -frames[:, None, :, 0] * sn[..., None] + frames[:, None, :, 1] * c[..., None]
-    out[..., 2] = np.broadcast_to(frames[:, None, :, 2], (r, s, 3))
-    return out.reshape(r * s, 9)
+    frames = np.asarray(frames, dtype=float)
+    phases = np.asarray(phases, dtype=float)
+    lead = np.broadcast_shapes(frames.shape[:-2], phases.shape)
+    ang = phases[..., None] + _TWO_PI * np.arange(1, s + 1) / s
+    c, sn = np.cos(ang)[..., None], np.sin(ang)[..., None]
+    h0, h1 = frames[..., None, :, 0], frames[..., None, :, 1]
+    out = np.empty(lead + (s, 3, 3))
+    out[..., 0] = h0 * c + h1 * sn
+    out[..., 1] = -h0 * sn + h1 * c
+    out[..., 2] = frames[..., None, :, 2]
+    return out.reshape(lead[:-1] + (lead[-1] * s, 9))
 
 
 def build_configuration(points, s, rng, ensemble="custom"):
@@ -74,9 +80,7 @@ def build_configuration(points, s, rng, ensemble="custom"):
         raise ValueError(f"fiber count must be >= 1, got {s}")
     if isinstance(rng, (int, np.integer)):
         seed = int(rng)
-        phases = np.array(
-            [keyed_stream(seed, DOMAIN_FIBER, i).uniform(0.0, _TWO_PI) for i in range(r)]
-        )
+        phases = keyed_uniforms(seed, DOMAIN_FIBER, np.arange(r), 1, _TWO_PI)[:, 0]
     else:
         seed = None
         phases = rng.uniform(0.0, _TWO_PI, r)

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
 import os
 from dataclasses import dataclass, fields
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .construct import fiber_matrices
 from .energy import COINCIDENCE_TOL, _rows_energies, fiber_pair_energies, predicted_energy
 from .ensembles import EnsembleSpec, sample_points
 from .geometry import base_frames
-from .streams import DOMAIN_POINTS, DOMAIN_TRIAL, keyed_stream
+from .streams import DOMAIN_POINTS, DOMAIN_TRIAL, keyed_stream, keyed_uniforms
 
 REPORT_VERSION = "1"
 _Z_THRESHOLD = 4.0
@@ -90,31 +90,30 @@ def chunk_size(n):
 def _chunk_energies(args):
     """Energies and coincidence minima for trials lo..hi-1 of one experiment.
 
-    Resampled trials with s >= 3 take fiber_pair_energies, the whole chunk
-    at once. The rest take the direct pair sum over their rotation rows. The
-    identity costs about as much per fiber pair as the direct sum spends on
-    nine rotation pairs, so with s <= 2 (at most four) it is slower once r
-    passes a few dozen; fixed-point runs check the identity's phase average,
-    so computing them through it would make the check circular.
+    With frozen frames a trial's stream holds only its r phases, so the
+    chunk's (b, r) phases come from one keyed_uniforms call and its rotation
+    rows from one fiber_matrices broadcast. A resampled trial draws its
+    points first from the same stream, so those trials run one Generator
+    each; with s >= 3 they take fiber_pair_energies, the whole chunk at once.
+    The rest take the direct pair sum over their rotation rows. The identity
+    costs about as much per fiber pair as the direct sum spends on nine
+    rotation pairs, so with s <= 2 (at most four) it is slower once r passes
+    a few dozen; fixed-point runs check the identity's phase average, so
+    computing them through it would make the check circular.
     """
     kind, r, s, master_seed, lo, hi, frames = args
-    fiber_route = frames is None and s >= 3
-    if fiber_route:
-        hs = np.empty((hi - lo, r, 3, 3))
-        phases = np.empty((hi - lo, r))
-    else:
-        rows = np.empty((hi - lo, r * s, 9))
+    if frames is not None:
+        phases = keyed_uniforms(master_seed, DOMAIN_TRIAL, np.arange(lo, hi), r, _TWO_PI)
+        return _rows_energies(fiber_matrices(frames, phases, s))
+    hs = np.empty((hi - lo, r, 3, 3))
+    phases = np.empty((hi - lo, r))
     for i, t in enumerate(range(lo, hi)):
         rng = keyed_stream(master_seed, DOMAIN_TRIAL, t)
-        h = frames if frames is not None else base_frames(sample_points(kind, r, rng))
-        phi = rng.uniform(0.0, _TWO_PI, r)
-        if fiber_route:
-            hs[i], phases[i] = h, phi
-        else:
-            rows[i] = fiber_matrices(h, phi, s)
-    if fiber_route:
+        hs[i] = base_frames(sample_points(kind, r, rng))
+        phases[i] = rng.uniform(0.0, _TWO_PI, r)
+    if s >= 3:
         return fiber_pair_energies(hs, phases, s)
-    return _rows_energies(rows)
+    return _rows_energies(fiber_matrices(hs, phases, s))
 
 
 def resolve_workers(workers=None):
@@ -159,7 +158,8 @@ def run_experiment(cfg, workers=None):
     if nworkers == 1 or len(tasks) == 1:
         results = [_chunk_energies(t) for t in tasks]
     else:
-        with get_context("fork").Pool(nworkers) as pool:
+        method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+        with multiprocessing.get_context(method).Pool(nworkers) as pool:
             results = pool.map(_chunk_energies, tasks)
 
     energies = np.concatenate([res[0] for res in results])

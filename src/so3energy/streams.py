@@ -5,6 +5,13 @@ draw) gets its own Philox stream keyed by (master seed, domain | index).
 Streams are therefore pure functions of those integers: any worker can
 recreate any stream without coordination, and results cannot depend on
 scheduling or worker count.
+
+Philox-4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
+3", SC'11) turns a 128-bit key and a 256-bit counter into four 64-bit words
+with ten rounds of integer arithmetic, so keyed_uniforms runs the first
+blocks of many streams at once as array operations. numpy's Philox starts
+its counter at zero and increments it before each block, and Generator
+draws a double from each word in order as (word >> 11) * 2^-53.
 """
 
 from __future__ import annotations
@@ -19,10 +26,63 @@ DOMAIN_TRIAL = 3
 _MASK64 = (1 << 64) - 1
 _INDEX_BITS = 56
 
+# Philox-4x64 round multipliers and Weyl key increments (Random123)
+_M0, _M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+_W0, _W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
+_ROUNDS = 10
+_LO32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+
+
+def _stream_key(seed, domain, index):
+    return seed & _MASK64, ((domain << _INDEX_BITS) | index) & _MASK64
+
+
+def _check_index(index):
+    if index < 0 or index >= (1 << _INDEX_BITS):
+        raise ValueError(f"stream index out of range: {index}")
+
 
 def keyed_stream(seed, domain, index=0):
     """An independent numpy Generator keyed by (seed, domain, index)."""
-    if index < 0 or index >= (1 << _INDEX_BITS):
-        raise ValueError(f"stream index out of range: {index}")
-    key = np.array([seed & _MASK64, ((domain << _INDEX_BITS) | index) & _MASK64], dtype=np.uint64)
+    _check_index(index)
+    key = np.array(_stream_key(seed, domain, index), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _mulhilo(m, x):
+    """(high, low) 64-bit halves of the 128-bit product of the constant m and
+    the uint64 array x, the high half built from 32-bit partial products."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x_lo, x_hi = x & _LO32, x >> _SHIFT32
+    ll, lh, hl = x_lo * m_lo, x_lo * m_hi, x_hi * m_lo
+    mid = (ll >> _SHIFT32) + (lh & _LO32) + (hl & _LO32)
+    hi = x_hi * m_hi + (lh >> _SHIFT32) + (hl >> _SHIFT32) + (mid >> _SHIFT32)
+    return hi, x * np.uint64(m)
+
+
+def keyed_uniforms(seed, domain, indices, count, high):
+    """The first `count` uniform doubles on [0, high) of many keyed streams.
+
+    Row i equals keyed_stream(seed, domain, indices[i]).uniform(0.0, high,
+    count) bit for bit; the streams' Philox blocks are computed together.
+    """
+    indices = np.asarray(indices)
+    if indices.size:
+        _check_index(indices.min())
+        _check_index(indices.max())
+    key0, key1 = _stream_key(seed, domain, 0)
+    key1 = np.uint64(key1) | indices.astype(np.uint64)[:, None]
+    nblocks = -(-count // 4)
+    # counter words 1..3 start at zero; word 0 is the block number + 1
+    c0 = np.broadcast_to(np.arange(1, nblocks + 1, dtype=np.uint64), (len(indices), nblocks))
+    c1 = c2 = c3 = np.zeros_like(c0)
+    for rnd in range(_ROUNDS):
+        if rnd:
+            key0 = (key0 + _W0) & _MASK64
+            key1 = key1 + np.uint64(_W1)
+        hi0, lo0 = _mulhilo(_M0, c0)
+        hi1, lo1 = _mulhilo(_M1, c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(key0), lo1, hi0 ^ c3 ^ key1, lo0
+    words = np.stack([c0, c1, c2, c3], axis=-1).reshape(len(indices), 4 * nblocks)[:, :count]
+    return 0.0 + high * ((words >> np.uint64(11)).astype(np.float64) * 2.0**-53)

@@ -263,10 +263,14 @@ def _check_headline_residual(fast):
 
 
 def _check_determinism(fast):
+    # n = 64 gives 1,024-trial chunks, so 2,500 trials make three and the
+    # second run of each config maps them over a worker pool
     workers = (1, 2) if fast else (1, 8)
-    cfg = ExperimentConfig(spec=EnsembleSpec("uniform", 4, 2), trials=2000, master_seed=77)
-    outs = [run_experiment(cfg, workers=w).to_json() for w in workers]
-    ok = outs[0] == outs[1]
+    ok = True
+    for resample in (True, False):
+        cfg = ExperimentConfig(EnsembleSpec("uniform", 32, 2), trials=2500, master_seed=77, resample_points=resample)
+        outs = [run_experiment(cfg, workers=w).to_json() for w in workers]
+        ok = ok and outs[0] == outs[1]
     return _result("determinism", ok, f"workers {workers[0]} vs {workers[1]}: {'identical' if ok else 'DIFFER'}")
 
 

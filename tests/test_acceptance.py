@@ -360,3 +360,8 @@ def test_outputs_byte_identical_across_worker_counts(tmp_path, child_env):
     assert mc_outs[0] == mc_outs[1]
     report = json.loads(mc_outs[0])
     assert report["pass"] is True
+
+    # fixed points take the batched phase route: 2,500 trials of n = 64 make
+    # three 1,024-trial chunks
+    cfg = ExperimentConfig(EnsembleSpec("uniform", 32, s=2), trials=2500, master_seed=13, resample_points=False)
+    assert run_experiment(cfg, workers=1).to_json() == run_experiment(cfg, workers=8).to_json()

@@ -16,6 +16,7 @@ from so3energy.construct import (
 )
 from so3energy.energy import log_energy
 from so3energy.geometry import base_frames, is_rotation, unit_vector
+from so3energy.streams import DOMAIN_FIBER, keyed_stream
 
 
 def fiber(p, s, phase):
@@ -133,6 +134,10 @@ def test_build_configuration_integer_seed_is_order_independent():
     assert np.array_equal(a.matrices, b.matrices)
     c = build_configuration(pts, 3, rng=8)
     assert not np.array_equal(a.matrices, c.matrices)
+    # fiber i's phase is the first draw of keyed_stream(seed, DOMAIN_FIBER, i)
+    phases = [keyed_stream(7, DOMAIN_FIBER, i).uniform(0.0, 2.0 * math.pi) for i in range(2)]
+    want = fiber_matrices(base_frames(pts), phases, 3).reshape(6, 3, 3)
+    assert np.array_equal(a.matrices.view(np.uint64), want.view(np.uint64))
 
 
 def test_build_configuration_generator_path():
@@ -164,6 +169,27 @@ def test_save_load_round_trip_is_bit_exact(tmp_path, fmt):
     assert back.meta == cfg.meta
     # the energy computed from the file equals the energy of the original
     assert log_energy(back.matrices).value == log_energy(cfg.matrices).value
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_save_load_round_trip_is_bit_exact_for_any_configuration(tmp_path, seed):
+    # fibers over random points and over the poles (exact and signed zeros),
+    # r up to 40 and s up to 9, through JSON and CSV: every bit comes back
+    rng = np.random.default_rng(900 + seed)
+    r, s = int(rng.integers(1, 41)), int(rng.integers(1, 10))
+    pts = rng.standard_normal((r, 3))
+    pts[: r // 4] = [0.0, 0.0, 1.0]
+    pts[r // 4 : r // 2] = [0.0, 0.0, -1.0]
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    seed_arg = int(rng.integers(0, 2**63)) if seed % 2 else np.random.default_rng(seed)
+    cfg = build_configuration(pts, s, rng=seed_arg, ensemble="uniform")
+    for fmt in ("json", "csv"):
+        path = tmp_path / f"config-{seed}.{fmt}"
+        save_configuration(cfg, path, fmt=fmt)
+        back = load_configuration(path)
+        assert back.matrices.shape == cfg.matrices.shape
+        assert np.array_equal(back.matrices.view(np.uint64), cfg.matrices.view(np.uint64))
+        assert back.meta == cfg.meta
 
 
 def test_save_rejects_unknown_format(tmp_path):

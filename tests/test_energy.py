@@ -326,3 +326,17 @@ def test_fiber_pair_energies_batch_equals_single_trials():
         energies, mins = fiber_pair_energies(frames, phases, s)
         for k in range(6):
             assert (energies[k], mins[k]) == _fiber_route(frames[k], phases[k], s)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_log_energy_invariant_under_common_rotations_and_permutation(seed):
+    # E depends only on the traces of O_i^T O_j: a common left rotation Q O_i,
+    # a common right rotation O_i Q and a relabelling leave it unchanged
+    rng = np.random.default_rng(500 + seed)
+    n = int(rng.integers(2, 150))
+    mats = haar_rotations(rng, n)
+    q = haar_rotations(rng, 1)[0]
+    e = log_energy(mats).value
+    assert log_energy(q @ mats).value == pytest.approx(e, rel=1e-12)
+    assert log_energy(mats @ q).value == pytest.approx(e, rel=1e-12)
+    assert log_energy(mats[rng.permutation(n)]).value == pytest.approx(e, rel=1e-12)

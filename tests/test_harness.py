@@ -17,7 +17,7 @@ from so3energy.harness import (
     resolve_workers,
     run_experiment,
 )
-from so3energy.streams import DOMAIN_FIBER, DOMAIN_POINTS, DOMAIN_TRIAL, keyed_stream
+from so3energy.streams import DOMAIN_FIBER, DOMAIN_POINTS, DOMAIN_TRIAL, keyed_stream, keyed_uniforms
 
 
 # --- streams ---------------------------------------------------------------------
@@ -48,6 +48,24 @@ def test_keyed_stream_index_range():
         keyed_stream(0, DOMAIN_TRIAL, -1)
     with pytest.raises(ValueError):
         keyed_stream(0, DOMAIN_TRIAL, 1 << 56)
+
+
+@pytest.mark.parametrize("domain", [DOMAIN_TRIAL, DOMAIN_FIBER])
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**63 + 5, 2**64 - 1])
+def test_keyed_uniforms_equal_keyed_stream_bit_for_bit(seed, domain):
+    # counts 1..17 end inside and on the edge of the 4-word Philox blocks
+    indices = [0, 1, 2**40 + 3, 2**56 - 1]
+    for count in range(1, 18):
+        got = keyed_uniforms(seed, domain, indices, count, 2.0 * math.pi)
+        want = np.array([keyed_stream(seed, domain, i).uniform(0.0, 2.0 * math.pi, count) for i in indices])
+        assert got.shape == (len(indices), count)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), count
+
+
+def test_keyed_uniforms_index_range():
+    for bad in (-1, 1 << 56):
+        with pytest.raises(ValueError, match="stream index out of range"):
+            keyed_uniforms(0, DOMAIN_TRIAL, [0, bad], 3, 1.0)
 
 
 # --- chunking and workers -----------------------------------------------------------
@@ -123,6 +141,23 @@ def test_run_experiment_deterministic_across_workers():
     par = run_experiment(cfg, workers=4)
     # byte-identical reports regardless of parallelism
     assert seq.to_json() == par.to_json()
+
+
+def test_spawn_when_fork_is_missing(monkeypatch):
+    # without fork the pool is started by spawn and gives the same report;
+    # uniform r = 32, s = 2 (n = 64) makes 1,024-trial chunks, so three here
+    from so3energy import harness
+
+    cfg = ExperimentConfig(EnsembleSpec("uniform", 32, s=2), 2500, master_seed=12)
+    assert chunk_size(64) == 1024
+    serial = run_experiment(cfg, workers=1)
+    used = []
+    real_context = harness.multiprocessing.get_context
+    monkeypatch.setattr(harness.multiprocessing, "get_all_start_methods", lambda: ["spawn", "forkserver"])
+    monkeypatch.setattr(harness.multiprocessing, "get_context", lambda m: used.append(m) or real_context(m))
+    pooled = run_experiment(cfg, workers=2)
+    assert used == ["spawn"]
+    assert pooled.to_json() == serial.to_json()
 
 
 def test_run_experiment_deterministic_across_worker_env(monkeypatch):
@@ -230,6 +265,46 @@ def test_chunk_energies_equal_log_energy_of_rebuilt_configurations(kind, r, s, r
             assert batched[t] == pytest.approx(direct, rel=1e-12)
         else:
             assert batched[t] == direct
+
+
+def test_fixed_point_chunks_equal_per_trial_route():
+    # uniform r = 10, s = 3 (n = 30): 4,100 trials are a 4,096-trial chunk and
+    # a 4-trial one. Each batched chunk (keyed_uniforms phases, one
+    # fiber_matrices broadcast) must give the bits of the per-trial route:
+    # a Generator per trial, fiber_matrices of its rows, _rows_energies.
+    from so3energy.construct import fiber_matrices
+    from so3energy.energy import _rows_energies
+    from so3energy.ensembles import sample_points
+    from so3energy.geometry import base_frames
+
+    kind, r, s, seed, trials = "uniform", 10, 3, 19, 4100
+    frames = base_frames(sample_points(kind, r, keyed_stream(seed, DOMAIN_POINTS)))
+    b = chunk_size(r * s)
+    assert b < trials < 2 * b
+    for lo in range(0, trials, b):
+        hi = min(lo + b, trials)
+        energies, mins = _chunk_energies((kind, r, s, seed, lo, hi, frames))
+        phases = [keyed_stream(seed, DOMAIN_TRIAL, t).uniform(0.0, 2.0 * math.pi, r) for t in range(lo, hi)]
+        rows = np.stack([fiber_matrices(frames, phi, s) for phi in phases])
+        want_energies, want_mins = _rows_energies(rows)
+        assert np.array_equal(energies.view(np.uint64), want_energies.view(np.uint64))
+        assert np.array_equal(mins.view(np.uint64), want_mins.view(np.uint64))
+
+
+def test_batched_fiber_matrices_equal_stacked_single_calls():
+    # shared (r, 3, 3) frames and per-trial (b, r, 3, 3) frames alike
+    from so3energy.construct import fiber_matrices
+    from so3energy.geometry import haar_rotations
+
+    rng = np.random.default_rng(23)
+    for r, s in ((1, 1), (2, 3), (7, 2), (10, 5)):
+        shared = haar_rotations(rng, r)
+        frames = haar_rotations(rng, 6 * r).reshape(6, r, 3, 3)
+        phases = rng.uniform(0.0, 2.0 * math.pi, (6, r))
+        for f, got in ((shared, fiber_matrices(shared, phases, s)), (frames, fiber_matrices(frames, phases, s))):
+            want = np.stack([fiber_matrices(f if f.ndim == 3 else f[k], phases[k], s) for k in range(6)])
+            assert got.shape == (6, r * s, 9)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class _ZeroPhases:
