@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 verification or run failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -36,7 +37,10 @@ def _fiber_count(value):
     return count
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser():
+    """The argument parser, built once per process: it is pure, and
+    parse_args does not change it."""
     parser = argparse.ArgumentParser(
         prog="so3energy",
         description="Low-energy rotation configurations from spherical point processes.",

@@ -8,7 +8,6 @@ of r base points, each with an independent uniform phase. The flat index of
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -104,54 +103,62 @@ def fiber_energy_closed_form(s):
 # JSON: {"meta": {...}, "matrices": [[9 numbers row-major], ...]}
 # CSV: a '# meta: {...}' comment line, a header row, one matrix per row.
 # Floats are written with repr (shortest round-trip), so load(save(c)) is
-# bit-exact for finite doubles.
+# bit-exact for finite doubles. The whole text is formatted in C (json's C
+# encoder, one %-format for the CSV body) and written with one call; its bytes
+# are those of json.dump and of csv.writer, which writes floats by repr and
+# never quotes them.
 
 _CSV_HEADER = ["m11", "m12", "m13", "m21", "m22", "m23", "m31", "m32", "m33"]
+_CSV_ROW = ",".join(["%r"] * 9) + "\n"
 
 
 def save_configuration(config, path, fmt="json"):
-    rows = config.matrices.reshape(config.n, 9).tolist()
+    meta = asdict(config.meta)
     if fmt == "json":
-        with open(path, "w", newline="") as fh:
-            json.dump({"meta": asdict(config.meta), "matrices": rows}, fh)
-            fh.write("\n")
+        rows = config.matrices.reshape(config.n, 9).tolist()
+        text = json.dumps({"meta": meta, "matrices": rows}) + "\n"
     elif fmt == "csv":
-        with open(path, "w", newline="") as fh:
-            fh.write("# meta: " + json.dumps(asdict(config.meta)) + "\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(_CSV_HEADER)
-            writer.writerows(rows)
+        head = "# meta: " + json.dumps(meta) + "\n" + ",".join(_CSV_HEADER) + "\n"
+        text = head + (_CSV_ROW * config.n) % tuple(config.matrices.reshape(-1).tolist())
     else:
         raise ValueError(f"unknown format {fmt!r} (expected 'json' or 'csv')")
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
 
 
 def load_configuration(path):
     """Read a configuration written by save_configuration.
 
-    Raises ValueError naming the first matrix row that has a non-finite
-    entry or is not a rotation within 1e-10 (the tolerance of is_rotation).
+    The file is read once. Raises ValueError naming the first matrix row that
+    does not have exactly 9 entries, has a non-finite entry or is not a
+    rotation within 1e-10 (the tolerance of is_rotation).
     """
+    with open(path) as fh:
+        text = fh.read()
     meta = None
-    with open(path, newline="") as fh:
-        head = fh.read(1)
-        fh.seek(0)
-        if head == "{":
-            doc = json.load(fh)
-            meta = ConfigMeta(**doc["meta"])
-            rows = doc["matrices"]
-        else:
-            rows = []
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    if "meta:" in line:
-                        meta = ConfigMeta(**json.loads(line.split("meta:", 1)[1]))
-                    continue
-                if line.startswith(_CSV_HEADER[0]):
-                    continue
-                rows.append([float(v) for v in line.split(",")])
+    if text[:1] == "{":
+        doc = json.loads(text)
+        meta = ConfigMeta(**doc["meta"])
+        rows = doc["matrices"]
+    else:
+        rows = []
+        # text mode reads \r\n and \r line ends as \n
+        for line in text.split("\n"):
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                if "meta:" in line:
+                    meta = ConfigMeta(**json.loads(line.split("meta:", 1)[1]))
+                continue
+            if line.startswith(_CSV_HEADER[0]):
+                continue
+            rows.append(line.split(","))
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != 9:
+            what = f"has {len(row)} entries" if isinstance(row, list) else "is not a list"
+            raise ValueError(f"{path}: matrix row {i + 1} of {len(rows)} {what}, expected 9 entries")
+    # strings convert as float() reads them, so the CSV values are bit-exact too
     mats = np.array(rows, dtype=float).reshape(-1, 3, 3)
     bad = np.flatnonzero(~rotation_mask(mats))
     if bad.size:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -206,6 +207,16 @@ def aberth_roots(coeffs, tol=1e-12, cap=200, retries=3):
     raise RootFindingError(f"degree-{r} root iteration failed after {retries + 1} attempts")
 
 
+@lru_cache(maxsize=8)
+def _coefficient_scales(r):
+    """sqrt(comb(r, j) / 2) for j = 0..r, the coefficient standard deviations
+    per real part. Cached, read-only: every trial of a run asks for the same r,
+    and r + 1 bignum comb calls per trial are not free at r in the hundreds."""
+    std = np.sqrt([math.comb(r, j) / 2.0 for j in range(r + 1)])
+    std.setflags(write=False)
+    return std
+
+
 def sample_elliptic_zeros(r, rng):
     """Zeros of a degree-r polynomial with independent complex Gaussian
     coefficients of variance binomial(r, j), projected to the sphere.
@@ -220,8 +231,7 @@ def sample_elliptic_zeros(r, rng):
             f"zeros ensemble needs r <= {_MAX_ZEROS_DEGREE}, got {r}: "
             "the coefficient variances comb(r, j) / 2 overflow a double beyond it"
         )
-    std = np.sqrt([math.comb(r, j) / 2.0 for j in range(r + 1)])
-    a = std * (rng.standard_normal(r + 1) + 1j * rng.standard_normal(r + 1))
+    a = _coefficient_scales(r) * (rng.standard_normal(r + 1) + 1j * rng.standard_normal(r + 1))
     deg = r
     while deg >= 1 and abs(a[deg]) < _DEGENERATE_LEAD:
         deg -= 1

@@ -1,5 +1,8 @@
 """Fiber construction, configuration assembly, and file round-trips."""
 
+import csv
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -107,6 +110,22 @@ def test_fiber_energy_closed_form_matches_direct_sum():
         fiber_energy_closed_form(0)
 
 
+def test_fiber_energy_closed_form_at_and_near_the_poles():
+    # the poles take base_frames' special frames, and points whose x and y lie
+    # within 1e-12 of 0 fall on either side of its pole test (rho^2 < 1e-24)
+    rng = np.random.default_rng(23)
+    for s in (2, 3, 8, 17):
+        expected = fiber_energy_closed_form(s)
+        iu = np.triu_indices(s, 1)
+        for k in range(12):
+            z = 1.0 if k % 2 else -1.0
+            xy = [0.0, 0.0] if k < 2 else rng.uniform(-1e-12, 1e-12, 2)
+            mats = build_configuration([xy[0], xy[1], z], s, rng).matrices
+            assert np.max(np.abs(mats[:, :, 2] - [xy[0], xy[1], z])) <= 1e-12
+            d2 = 6.0 - 2.0 * np.einsum("aij,bij->ab", mats, mats)
+            assert float(np.sum(np.log(d2[iu]))) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
 def test_fiber_energy_closed_form_small_values():
     assert fiber_energy_closed_form(1) == 0.0
     assert fiber_energy_closed_form(2) == pytest.approx(math.log(2.0) + 2.0 * math.log(2.0))
@@ -192,6 +211,53 @@ def test_save_load_round_trip_is_bit_exact_for_any_configuration(tmp_path, seed)
         assert back.meta == cfg.meta
 
 
+def _reference_bytes(cfg, fmt, path):
+    """The file the json.dump / csv.writer encoders wrote for cfg."""
+    rows = cfg.matrices.reshape(cfg.n, 9).tolist()
+    meta = dataclasses.asdict(cfg.meta)
+    with open(path, "w", newline="") as fh:
+        if fmt == "json":
+            json.dump({"meta": meta, "matrices": rows}, fh)
+            fh.write("\n")
+        else:
+            fh.write("# meta: " + json.dumps(meta) + "\n")
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["m11", "m12", "m13", "m21", "m22", "m23", "m31", "m32", "m33"])
+            writer.writerows(rows)
+    return path.read_bytes()
+
+
+def _encoder_cases():
+    """(name, configuration, finite) over random fibers, both poles, a
+    subnormal entry and a matrix holding nan, inf and -inf."""
+    rng = np.random.default_rng(41)
+    pts = rng.standard_normal((5, 3))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    yield "random", build_configuration(pts, 4, rng=77, ensemble="uniform"), True
+    poles = build_configuration([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], 6, rng=np.random.default_rng(5))
+    assert np.any(np.signbit(poles.matrices) & (poles.matrices == 0.0))
+    yield "poles", poles, True
+    mats = poles.matrices.copy()
+    mats[0, 0, 2] = 5e-324
+    mats[3, 2, 0] = -2.2250738585072e-310
+    yield "subnormal", Configuration(mats, poles.meta), True
+    mats = poles.matrices.copy()
+    mats[2] = [[math.nan, math.inf, -math.inf], [0.0, -0.0, 1e-300], [1e300, -1.5, 0.1]]
+    yield "non-finite", Configuration(mats, poles.meta), False
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_save_writes_the_bytes_of_the_stream_encoders(tmp_path, fmt):
+    for name, cfg, finite in _encoder_cases():
+        path = tmp_path / f"{name}.{fmt}"
+        save_configuration(cfg, path, fmt=fmt)
+        assert path.read_bytes() == _reference_bytes(cfg, fmt, tmp_path / f"ref-{name}.{fmt}"), name
+        if finite:
+            back = load_configuration(path)
+            assert np.array_equal(back.matrices.view(np.uint64), cfg.matrices.view(np.uint64)), name
+            assert back.meta == cfg.meta
+
+
 def test_save_rejects_unknown_format(tmp_path):
     cfg = build_configuration([[0.0, 0.0, 1.0]], 2, rng=0)
     with pytest.raises(ValueError):
@@ -199,16 +265,70 @@ def test_save_rejects_unknown_format(tmp_path):
 
 
 def test_load_csv_without_meta_line(tmp_path):
-    path = tmp_path / "bare.csv"
-    rows = np.eye(3).reshape(1, 9)
-    with open(path, "w") as fh:
-        fh.write(",".join("m%d%d" % (i, j) for i in range(1, 4) for j in range(1, 4)) + "\n")
-        fh.write(",".join(repr(float(v)) for v in rows[0]) + "\n")
-    cfg = load_configuration(path)
-    assert isinstance(cfg, Configuration)
-    assert cfg.n == 1
-    assert np.array_equal(cfg.matrices[0], np.eye(3))
-    assert cfg.meta.ensemble == "unknown"
+    # no meta line, blank lines and a comment between data lines are skipped,
+    # with \n, \r\n or \r line ends
+    cfg = build_configuration([[0.0, 0.0, 1.0], [0.6, 0.0, 0.8]], 2, rng=4)
+    rows = [",".join(repr(v) for v in row) for row in cfg.matrices.reshape(4, 9).tolist()]
+    lines = [",".join("m%d%d" % (i, j) for i in range(1, 4) for j in range(1, 4)), rows[0], "", rows[1]]
+    lines += ["# a note between data lines", "  ", rows[2], rows[3], ""]
+    for k, newline in enumerate(["\n", "\r\n", "\r"]):
+        path = tmp_path / f"bare-{k}.csv"
+        path.write_bytes(newline.join(lines).encode())
+        back = load_configuration(path)
+        assert isinstance(back, Configuration)
+        assert back.n == 4
+        assert np.array_equal(back.matrices.view(np.uint64), cfg.matrices.view(np.uint64))
+        assert back.meta.ensemble == "unknown" and back.meta.r == 4
+
+
+def _write_rows_json(path, rows):
+    meta = {"ensemble": "uniform", "r": len(rows), "s": 1, "seed": None, "version": "1"}
+    path.write_text(json.dumps({"meta": meta, "matrices": rows}) + "\n")
+
+
+def _eight_entry_rows(path):
+    # 72 numbers that would reshape into 8 matrices if the rows were flattened
+    rows = np.tile(np.eye(3).reshape(9), 8).reshape(9, 8).tolist()
+    _write_rows_json(path.with_suffix(".json"), rows)
+    return path.with_suffix(".json"), "matrix row 1 of 9 has 8 entries, expected 9"
+
+
+def _ragged_json_row(path):
+    rows = np.tile(np.eye(3).reshape(9), (6, 1)).tolist()
+    rows[3].append(0.0)
+    _write_rows_json(path.with_suffix(".json"), rows)
+    return path.with_suffix(".json"), "matrix row 4 of 6 has 10 entries, expected 9"
+
+
+def _csv_twelve_then_six(path):
+    # 12 + 6 fields would pass as two matrices if the fields were flattened
+    eye = ",".join(repr(v) for v in np.eye(3).reshape(9).tolist())
+    fields = eye.split(",")
+    lines = ["m11,m12,m13,m21,m22,m23,m31,m32,m33", eye, ",".join(fields + fields[:3])]
+    lines += [",".join(fields[3:]), eye]
+    path.with_suffix(".csv").write_text("\n".join(lines) + "\n")
+    return path.with_suffix(".csv"), "matrix row 2 of 4 has 12 entries, expected 9"
+
+
+@pytest.mark.parametrize("write", [_eight_entry_rows, _ragged_json_row, _csv_twelve_then_six])
+def test_load_rejects_rows_without_nine_entries(tmp_path, capsys, write):
+    path, message = write(tmp_path / "wide")
+    with pytest.raises(ValueError, match=message):
+        load_configuration(path)
+    assert main(["energy", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+def test_energy_of_an_empty_file_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    assert load_configuration(path).n == 0
+    assert main(["energy", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "at least one rotation" in captured.err
 
 
 def _broken_file(tmp_path, fmt, damage):

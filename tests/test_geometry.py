@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -144,6 +145,32 @@ def test_inverse_stereographic_array_matches_scalar_formula_bit_for_bit():
     # a scalar still gives one point
     assert inverse_stereographic(z[7]).shape == (3,)
     assert np.array_equal(inverse_stereographic(z[7]), want[7])
+
+
+def _exact_inverse_stereographic(z):
+    # the image of z in exact rational arithmetic, rounded once to doubles
+    u, v = Fraction(z.real), Fraction(z.imag)
+    m2 = u * u + v * v
+    return np.array([float(2 * u / (1 + m2)), float(2 * v / (1 + m2)), float((m2 - 1) / (1 + m2))])
+
+
+def test_inverse_stereographic_for_huge_arguments():
+    rng = np.random.default_rng(15)
+    mags = np.sort(10.0 ** rng.uniform(8.0, 300.0, 400))
+    args = rng.uniform(0.0, 2.0 * math.pi, 400)
+    p = inverse_stereographic(mags * np.exp(1j * args))
+    assert np.all(np.abs(np.linalg.norm(p, axis=1) - 1.0) <= 1e-15)
+    # the image tends to the north pole: x, y shrink like 2 / |z| and z -> 1
+    assert np.all(np.hypot(p[:, 0], p[:, 1]) <= 2.0 / mags * (1.0 + 1e-15))
+    assert np.all(1.0 - p[:, 2] <= 2.0 / mags / mags + 2.3e-16)
+    assert np.all(np.diff(p[:, 2]) >= 0.0) and p[-1, 2] == 1.0
+    # both branches agree with the exact image where |z|^2 crosses 1e16
+    near = 1e8 * (1.0 + rng.uniform(-1e-6, 1e-6, 200)) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 200))
+    m2 = near.real**2 + near.imag**2
+    assert np.any(m2 > 1e16) and np.any(m2 <= 1e16)
+    got = inverse_stereographic(near)
+    want = np.stack([_exact_inverse_stereographic(z) for z in near])
+    assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want) + 1e-300)
 
 
 def test_unit_vector():

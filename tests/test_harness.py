@@ -134,11 +134,26 @@ def test_run_experiment_eap_upper_bound():
     assert rep.mean <= rep.prediction
 
 
-def test_run_experiment_deterministic_across_workers():
-    spec = EnsembleSpec("zeros", 5, s=2)
-    cfg = ExperimentConfig(spec, 300, master_seed=9)
+def _record_pool_starts(monkeypatch):
+    """Start methods of the pools run_experiment opens from here on."""
+    from so3energy import harness
+
+    used = []
+    real_context = harness.multiprocessing.get_context
+    monkeypatch.setattr(harness.multiprocessing, "get_context", lambda m: used.append(m) or real_context(m))
+    return used
+
+
+def test_run_experiment_deterministic_across_workers(monkeypatch):
+    # zeros r = 23, s = 4 (n = 92) makes 495-trial chunks, so three here and
+    # the 4-worker run really starts a pool
+    spec = EnsembleSpec("zeros", 23, s=4)
+    cfg = ExperimentConfig(spec, 1200, master_seed=9)
+    assert math.ceil(cfg.trials / chunk_size(92)) == 3
     seq = run_experiment(cfg, workers=1)
+    used = _record_pool_starts(monkeypatch)
     par = run_experiment(cfg, workers=4)
+    assert len(used) == 1
     # byte-identical reports regardless of parallelism
     assert seq.to_json() == par.to_json()
 
@@ -151,22 +166,25 @@ def test_spawn_when_fork_is_missing(monkeypatch):
     cfg = ExperimentConfig(EnsembleSpec("uniform", 32, s=2), 2500, master_seed=12)
     assert chunk_size(64) == 1024
     serial = run_experiment(cfg, workers=1)
-    used = []
-    real_context = harness.multiprocessing.get_context
     monkeypatch.setattr(harness.multiprocessing, "get_all_start_methods", lambda: ["spawn", "forkserver"])
-    monkeypatch.setattr(harness.multiprocessing, "get_context", lambda m: used.append(m) or real_context(m))
+    used = _record_pool_starts(monkeypatch)
     pooled = run_experiment(cfg, workers=2)
     assert used == ["spawn"]
     assert pooled.to_json() == serial.to_json()
 
 
 def test_run_experiment_deterministic_across_worker_env(monkeypatch):
-    spec = EnsembleSpec("spherical", 4, s=2)
-    cfg = ExperimentConfig(spec, 120, master_seed=3)
+    # spherical r = 23, s = 4 (n = 92): three 495-trial chunks, so the
+    # 3-worker run starts a pool
+    spec = EnsembleSpec("spherical", 23, s=4)
+    cfg = ExperimentConfig(spec, 1200, master_seed=3)
+    assert math.ceil(cfg.trials / chunk_size(92)) == 3
     monkeypatch.setenv("SO3ENERGY_WORKERS", "1")
     a = run_experiment(cfg)
+    used = _record_pool_starts(monkeypatch)
     monkeypatch.setenv("SO3ENERGY_WORKERS", "3")
     b = run_experiment(cfg)
+    assert len(used) == 1
     assert a.to_json() == b.to_json()
 
 
