@@ -126,19 +126,34 @@ def save_configuration(config, path, fmt="json"):
         fh.write(text)
 
 
+def _load_meta(path, fields):
+    try:
+        return ConfigMeta(**fields)
+    except TypeError:
+        raise ValueError(
+            f"{path}: meta must be an object with keys ensemble, r, s, seed and optionally version,"
+            f" got {fields!r}"
+        ) from None
+
+
 def load_configuration(path):
     """Read a configuration written by save_configuration.
 
-    The file is read once. Raises ValueError naming the first matrix row that
-    does not have exactly 9 entries, has a non-finite entry or is not a
-    rotation within 1e-10 (the tolerance of is_rotation).
+    The file is read once; it is JSON if its first non-blank character is
+    "{". Raises ValueError naming the file for a JSON document that is not an
+    object with "meta" and a "matrices" list, for a meta without the keys of
+    ConfigMeta, and for the first matrix row that does not have exactly 9
+    entries, has a non-finite entry or is not a rotation within 1e-10 (the
+    tolerance of is_rotation).
     """
     with open(path) as fh:
         text = fh.read()
     meta = None
-    if text[:1] == "{":
+    if text.lstrip()[:1] == "{":
         doc = json.loads(text)
-        meta = ConfigMeta(**doc["meta"])
+        if "meta" not in doc or not isinstance(doc.get("matrices"), list):
+            raise ValueError(f'{path}: a JSON configuration is an object with "meta" and a "matrices" list')
+        meta = _load_meta(path, doc["meta"])
         rows = doc["matrices"]
     else:
         rows = []
@@ -149,7 +164,7 @@ def load_configuration(path):
                 continue
             if line.startswith("#"):
                 if "meta:" in line:
-                    meta = ConfigMeta(**json.loads(line.split("meta:", 1)[1]))
+                    meta = _load_meta(path, json.loads(line.split("meta:", 1)[1]))
                 continue
             if line.startswith(_CSV_HEADER[0]):
                 continue

@@ -89,6 +89,8 @@ def _upper_tile_sums(d, f):
     visited. Tile partials are combined with fsum per batch row, so the
     value never depends on outer parallelism. Within a tile numpy sums each
     row pairwise, so a slice gives the same bits whatever the batch size.
+    With one tile (n <= 64) the fsum of a row is its partial, save that
+    fsum turns -0.0 into 0.0, as adding 0.0 does.
     """
     b, n, _ = d.shape
     if n < 2:
@@ -99,8 +101,10 @@ def _upper_tile_sums(d, f):
         if vals.shape[1]:
             mins = np.minimum(mins, vals.min(axis=1))
             partials.append(f(vals).sum(axis=1))
+    if len(partials) == 1:
+        return partials[0] + 0.0, mins
     stacked = np.stack(partials, axis=1)
-    return np.array([math.fsum(row) for row in stacked]), mins
+    return np.array(list(map(math.fsum, stacked.tolist()))), mins
 
 
 class _RowDistances:

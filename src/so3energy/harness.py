@@ -168,13 +168,15 @@ def run_experiment(cfg, workers=None):
     excluded = int(np.count_nonzero(~good))
     if excluded > _MAX_EXCLUDED_FRACTION * cfg.trials:
         raise RuntimeError(f"{excluded} of {cfg.trials} trials coincident; seed or sampler is broken")
-    vals = energies[good]
+    # Python floats: fsum and ** 2 (libm pow, as for numpy scalars) skip the
+    # per-element numpy scalar boxing
+    vals = energies[good].tolist()
     m = len(vals)
     if m == 0:
         raise RuntimeError("all trials excluded")
     mean = math.fsum(vals) / m
     if m >= 2:
-        var = math.fsum((v - mean) ** 2 for v in vals) / (m - 1)
+        var = math.fsum([(v - mean) ** 2 for v in vals]) / (m - 1)
         std_error = math.sqrt(var / m)
     else:
         std_error = math.inf

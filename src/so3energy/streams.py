@@ -35,7 +35,11 @@ _SHIFT32 = np.uint64(32)
 
 
 def _stream_key(seed, domain, index):
-    return seed & _MASK64, ((domain << _INDEX_BITS) | index) & _MASK64
+    key = seed & _MASK64
+    # a seed outside [0, 2^64) would alias the one inside it under the mask
+    if key != seed:
+        raise ValueError(f"seed out of range [0, 2**64): {seed}")
+    return key, ((domain << _INDEX_BITS) | index) & _MASK64
 
 
 def _check_index(index):

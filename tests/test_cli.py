@@ -128,6 +128,23 @@ def test_mc_rejects_bad_trials(capsys):
     assert "trials" in err
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_outside_64_bits_is_a_usage_error(capsys, tmp_path, seed):
+    # 2^64 used to give the mean of seed 0 while recording master_seed 2^64
+    code, out, err = run_cli(capsys, "mc", "--ensemble", "uniform", "--r", "4", "--s", "2", "--trials", "5", "--seed", seed)
+    assert code == 2 and out == "" and "seed out of range" in err
+    out_path = tmp_path / "c.json"
+    code, out, err = run_cli(capsys, "generate", "--ensemble", "uniform", "--r", "4", "--seed", seed, "--out", str(out_path))
+    assert code == 2 and out == "" and "seed out of range" in err
+    assert not out_path.exists()
+
+
+def test_largest_seed_is_recorded(capsys):
+    code, out, _ = run_cli(capsys, "mc", "--ensemble", "uniform", "--r", "4", "--s", "2", "--trials", "5", "--seed", str(2**64 - 1))
+    assert code == 0
+    assert json.loads(out)["master_seed"] == 2**64 - 1
+
+
 def test_table_output(capsys, oracle):
     code, out, _ = run_cli(capsys, "table", "--ensemble", "zeros", "--rmax", "9")
     assert code == 0

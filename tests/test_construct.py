@@ -321,6 +321,66 @@ def test_load_rejects_rows_without_nine_entries(tmp_path, capsys, write):
     assert captured.err.startswith("error: ") and message in captured.err
 
 
+_EYE_ROW = np.eye(3).reshape(9).tolist()
+_META = {"ensemble": "uniform", "r": 1, "s": 1, "seed": None, "version": "1"}
+
+
+def _json_without_meta(path):
+    path.with_suffix(".json").write_text(json.dumps({"matrices": [_EYE_ROW]}))
+    return path.with_suffix(".json"), 'an object with "meta" and a "matrices" list'
+
+
+def _json_without_matrices(path):
+    path.with_suffix(".json").write_text(json.dumps({"meta": _META, "rows": [_EYE_ROW]}))
+    return path.with_suffix(".json"), 'an object with "meta" and a "matrices" list'
+
+
+def _json_meta_with_unknown_key(path):
+    meta = dict(_META, colour="blue")
+    path.with_suffix(".json").write_text(json.dumps({"meta": meta, "matrices": [_EYE_ROW]}))
+    return path.with_suffix(".json"), "meta must be an object with keys ensemble, r, s, seed"
+
+
+def _json_meta_not_an_object(path):
+    path.with_suffix(".json").write_text(json.dumps({"meta": [1, 2], "matrices": [_EYE_ROW]}))
+    return path.with_suffix(".json"), "meta must be an object with keys ensemble, r, s, seed"
+
+
+def _csv_empty_meta(path):
+    lines = ["# meta: {}", "m11,m12,m13,m21,m22,m23,m31,m32,m33", ",".join(repr(v) for v in _EYE_ROW)]
+    path.with_suffix(".csv").write_text("\n".join(lines) + "\n")
+    return path.with_suffix(".csv"), "meta must be an object with keys ensemble, r, s, seed"
+
+
+@pytest.mark.parametrize(
+    "write",
+    [_json_without_meta, _json_without_matrices, _json_meta_with_unknown_key, _json_meta_not_an_object, _csv_empty_meta],
+)
+def test_malformed_meta_is_a_usage_error_naming_the_file(tmp_path, capsys, write):
+    path, message = write(tmp_path / "meta")
+    with pytest.raises(ValueError, match=message) as info:
+        load_configuration(path)
+    assert str(info.value).startswith(f"{path}: ")
+    assert main(["energy", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ") and message in captured.err
+
+
+def test_json_with_leading_whitespace_is_read_as_json(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    assert main(["generate", "--ensemble", "uniform", "--r", "5", "--s", "3", "--seed", "4", "--out", str(path)]) == 0
+    generated = json.loads(capsys.readouterr().out)["log_energy"]
+    cfg = load_configuration(path)
+    padded = tmp_path / "padded.json"
+    padded.write_text("\n \t\n" + path.read_text())
+    back = load_configuration(padded)
+    assert back.meta == cfg.meta
+    assert np.array_equal(back.matrices.view(np.uint64), cfg.matrices.view(np.uint64))
+    assert main(["energy", "--in", str(padded)]) == 0
+    assert float(capsys.readouterr().out.strip()) == generated
+
+
 def test_energy_of_an_empty_file_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "empty.csv"
     path.write_text("")

@@ -17,7 +17,10 @@ from so3energy.energy import (
     COINCIDENCE_TOL,
     EnergyValue,
     _fluctuation_logs,
+    _RowDistances,
     _rows_energies,
+    _upper_tile_sums,
+    _upper_tiles,
     circle_average,
     circle_average_quadrature,
     crossed_expectation,
@@ -81,6 +84,44 @@ def test_pair_log_sums_batched_matches_loop():
             sk, mk = pair_log_sums(batch[k : k + 1])
             assert sums[k] == sk[0]
             assert mins[k] == mk[0]
+
+
+class _SumFromNegativeZero(np.ndarray):
+    """Row sums that start from -0.0 (numpy's start from 0.0), so that a row
+    of -0.0 values gives a -0.0 tile partial."""
+
+    def sum(self, axis=None):
+        return np.add.reduce(self.view(np.ndarray), axis=axis, initial=-0.0)
+
+
+def _fsum_per_row(d, f):
+    """The tile partials of d under f, combined by one math.fsum per batch row."""
+    stacked = np.stack([f(vals).sum(axis=1) for vals in _upper_tiles(d) if vals.shape[1]], axis=1)
+    return np.array([math.fsum(row) for row in stacked]), stacked
+
+
+@pytest.mark.parametrize("n", [2, 30, 64, 65, 200])
+def test_upper_tile_sums_equal_per_row_fsum_bit_for_bit(n):
+    # batch rows 0..2 hold a coincident pair (-inf), a nan entry and, through
+    # f, only -0.0 values; b = 1024, the first 7 rows, and each of them alone
+    rng = np.random.default_rng(45 + n)
+    rows = haar_rotations(rng, 1024 * n).reshape(1024, n, 9)
+    rows[0, 0] = rows[0, n - 1] = np.eye(3).reshape(9)
+    rows[1, n // 2, 4] = np.nan
+    negative_zero = np.zeros(1024, dtype=bool)
+    negative_zero[2] = True
+
+    for lo, hi in [(0, 1024), (0, 7)] + [(k, k + 1) for k in range(7)]:
+        d = _RowDistances(rows[lo:hi])
+        nz = negative_zero[lo:hi, None]
+        f = lambda vals: np.where(nz, -0.0, np.log(vals)).view(_SumFromNegativeZero)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sums, _ = _upper_tile_sums(d, f)
+            want, partials = _fsum_per_row(d, f)
+        assert np.array_equal(sums.view(np.uint64), want.view(np.uint64)), (lo, hi)
+        if hi - lo > 2:
+            assert want[0] == -math.inf and math.isnan(want[1])
+            assert np.all(np.signbit(partials[2])) and want[2] == 0.0 and not np.signbit(want[2])
 
 
 def test_log_energy_fiber_identity():

@@ -68,6 +68,35 @@ def test_keyed_uniforms_index_range():
             keyed_uniforms(0, DOMAIN_TRIAL, [0, bad], 3, 1.0)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 7, -(2**64)])
+def test_seeds_outside_64_bits_are_refused(seed):
+    # reduced mod 2^64 they would alias a seed in range while recording another
+    from so3energy.construct import build_configuration
+
+    with pytest.raises(ValueError, match="seed out of range"):
+        keyed_stream(seed, DOMAIN_POINTS)
+    with pytest.raises(ValueError, match="seed out of range"):
+        keyed_uniforms(seed, DOMAIN_TRIAL, [0, 1], 3, 1.0)
+    with pytest.raises(ValueError, match="seed out of range"):
+        build_configuration([[0.0, 0.0, 1.0]], 2, rng=seed)
+    for resample in (True, False):
+        cfg = ExperimentConfig(EnsembleSpec("uniform", 3, s=2), 5, master_seed=seed, resample_points=resample)
+        with pytest.raises(ValueError, match="seed out of range"):
+            run_experiment(cfg)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_seeds_at_the_ends_of_the_range_are_kept(seed):
+    from so3energy.construct import build_configuration
+
+    assert keyed_stream(seed, DOMAIN_POINTS).random() != keyed_stream(seed ^ 1, DOMAIN_POINTS).random()
+    assert build_configuration([[0.0, 0.0, 1.0]], 2, rng=seed).meta.seed == seed
+    for resample in (True, False):
+        cfg = ExperimentConfig(EnsembleSpec("uniform", 3, s=2), 5, master_seed=seed, resample_points=resample)
+        rep = run_experiment(cfg)
+        assert rep.master_seed == seed and math.isfinite(rep.mean)
+
+
 # --- chunking and workers -----------------------------------------------------------
 
 
@@ -249,6 +278,55 @@ def test_mean_matches_direct_energy_computation():
         direct.append(log_energy(rows.reshape(-1, 3, 3)).value)
     rep = run_experiment(ExperimentConfig(EnsembleSpec(kind, r, s=s), trials, master_seed=seed))
     assert rep.mean == pytest.approx(math.fsum(direct) / trials, rel=1e-13)
+
+
+def _numpy_scalar_statistics(energies, mins):
+    """Mean and standard error as the report took them over numpy scalars."""
+    good = (mins >= COINCIDENCE_TOL) & np.isfinite(energies)
+    vals = energies[good]
+    m = len(vals)
+    mean = math.fsum(vals) / m
+    var = math.fsum((v - mean) ** 2 for v in vals) / (m - 1)
+    return mean, math.sqrt(var / m)
+
+
+@pytest.mark.parametrize("kind, r, s, trials, resample", [("uniform", 5, 3, 3000, False), ("zeros", 6, 2, 700, True)])
+def test_report_statistics_equal_numpy_scalar_sums_bit_for_bit(monkeypatch, kind, r, s, trials, resample):
+    from so3energy import harness
+
+    chunks = []
+
+    def recording(args):
+        chunks.append(_chunk_energies(args))
+        return chunks[-1]
+
+    monkeypatch.setattr(harness, "_chunk_energies", recording)
+    cfg = ExperimentConfig(EnsembleSpec(kind, r, s=s), trials, master_seed=31, resample_points=resample)
+    rep = run_experiment(cfg, workers=1)
+    energies = np.concatenate([c[0] for c in chunks])
+    assert len(energies) == trials
+    mean, std_error = _numpy_scalar_statistics(energies, np.concatenate([c[1] for c in chunks]))
+    assert rep.mean.hex() == mean.hex()
+    assert rep.std_error.hex() == std_error.hex()
+
+
+def test_fixed_point_fsum_calls_do_not_grow_with_trials(monkeypatch):
+    # n = 30 is one tile, so a trial's energy needs no fsum; the report's mean
+    # and variance are one fsum each over all trials
+    calls = []
+    real_fsum = math.fsum
+
+    def counting(xs):
+        calls.append(1)
+        return real_fsum(xs)
+
+    monkeypatch.setattr(math, "fsum", counting)
+    counts = []
+    for trials in (1024, 4096):
+        calls.clear()
+        run_experiment(ExperimentConfig(EnsembleSpec("uniform", 10, s=3), trials, master_seed=8, resample_points=False))
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 @pytest.mark.parametrize(
