@@ -126,31 +126,56 @@ def save_configuration(config, path, fmt="json"):
         fh.write(text)
 
 
+def _parse_json(path, text, what):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {what} is not valid JSON ({exc})") from None
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _load_meta(path, fields):
     try:
-        return ConfigMeta(**fields)
+        meta = ConfigMeta(**fields)
     except TypeError:
         raise ValueError(
             f"{path}: meta must be an object with keys ensemble, r, s, seed and optionally version,"
             f" got {fields!r}"
         ) from None
+    for ok, rule in (
+        (isinstance(meta.ensemble, str), "ensemble must be a string"),
+        (_is_int(meta.r) and meta.r >= 1, "r must be an integer >= 1"),
+        (_is_int(meta.s) and meta.s >= 1, "s must be an integer >= 1"),
+        (meta.seed is None or _is_int(meta.seed), "seed must be an integer or null"),
+        (isinstance(meta.version, str), "version must be a string"),
+    ):
+        if not ok:
+            raise ValueError(f"{path}: meta {rule}, got {fields!r}")
+    return meta
 
 
 def load_configuration(path):
     """Read a configuration written by save_configuration.
 
     The file is read once; it is JSON if its first non-blank character is
-    "{". Raises ValueError naming the file for a JSON document that is not an
-    object with "meta" and a "matrices" list, for a meta without the keys of
-    ConfigMeta, and for the first matrix row that does not have exactly 9
-    entries, has a non-finite entry or is not a rotation within 1e-10 (the
-    tolerance of is_rotation).
+    "{". Raises ValueError naming the file for a JSON document or CSV meta
+    line that does not parse, for a JSON document that is not an object with
+    "meta" and a "matrices" list, for a meta without the keys of ConfigMeta
+    or with a value of the wrong type or range (ensemble a string, r and s
+    integers >= 1, seed an integer or null, version a string), for a meta
+    whose r * s is not the number of matrices (every writer stores the r * s
+    rotations of r fibers of s), and for the first matrix row that does not
+    have exactly 9 entries, has a non-finite entry or is not a rotation within
+    1e-10 (the tolerance of is_rotation).
     """
     with open(path) as fh:
         text = fh.read()
     meta = None
     if text.lstrip()[:1] == "{":
-        doc = json.loads(text)
+        doc = _parse_json(path, text, "the document")
         if "meta" not in doc or not isinstance(doc.get("matrices"), list):
             raise ValueError(f'{path}: a JSON configuration is an object with "meta" and a "matrices" list')
         meta = _load_meta(path, doc["meta"])
@@ -164,7 +189,7 @@ def load_configuration(path):
                 continue
             if line.startswith("#"):
                 if "meta:" in line:
-                    meta = _load_meta(path, json.loads(line.split("meta:", 1)[1]))
+                    meta = _load_meta(path, _parse_json(path, line.split("meta:", 1)[1], "the meta line"))
                 continue
             if line.startswith(_CSV_HEADER[0]):
                 continue
@@ -183,4 +208,8 @@ def load_configuration(path):
         )
     if meta is None:
         meta = ConfigMeta(ensemble="unknown", r=len(mats), s=1, seed=None)
+    elif meta.r * meta.s != len(mats):
+        raise ValueError(
+            f"{path}: meta r = {meta.r} and s = {meta.s} give {meta.r * meta.s} rotations, the file holds {len(mats)}"
+        )
     return Configuration(matrices=mats, meta=meta)

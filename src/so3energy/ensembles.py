@@ -20,8 +20,21 @@ ENSEMBLE_KINDS = ("uniform", "zeros", "eap", "spherical")
 
 _DEGENERATE_LEAD = 1e-300
 _RESIDUAL_TOL = 1e-10
-# every Aberth sweep holds (active x degree) complex arrays, 268 MB each at
-# this degree; a larger polynomial is refused rather than run out of memory
+# Aberth's Cauchy sums come from a Gram product of squared distances, except
+# for a root with a neighbour within sqrt(_GRAM_FLOOR) |z|, where the
+# product's cancellation error (about 4 eps / _GRAM_FLOOR of the term) is
+# too large. Sweeps over fewer than _GRAM_MIN_WORK (active root, root) pairs
+# take complex subtraction throughout, and degrees below _ONE_BLOCK_DEGREE
+# evaluate p and p' in one block: there a sweep's cost is numpy call
+# overhead, not arithmetic (crossovers measured on Kostlan polynomials,
+# r = 24 to 160, one BLAS thread).
+_GRAM_FLOOR = 1e-4
+_GRAM_MIN_WORK = 4096
+_ONE_BLOCK_DEGREE = 64
+# the root finder holds a (degree x degree) float Gram buffer, 134 MB at this
+# degree, and a sweep that falls back to complex subtraction allocates an
+# (active x degree) complex array, up to 268 MB; a larger polynomial is
+# refused rather than run out of memory
 _MAX_DEGREE = 4096
 # the coefficient variances comb(r, j) / 2 pass the double range from r = 1030
 _MAX_ZEROS_DEGREE = 1029
@@ -70,54 +83,156 @@ def sample_uniform(r, rng):
 # --- elliptic polynomial zeros ----------------------------------------------
 
 
-def _powers(z, r):
-    """Power matrix for evaluating degree-r polynomials at z without overflow.
-
-    Returns (inner, pw): inner marks |z| <= 1, and pw[j] = u^j for j = 0..r,
-    shape (r + 1, len(z)), with u = z where inner and u = 1/z elsewhere, so
-    |u| <= 1. Where u = 1/z, p(z) = z^r sum_j a_{r-j} u^j.
-    """
-    inner = np.abs(z) <= 1.0
-    u = z.copy()
-    u[~inner] = 1.0 / u[~inner]
-    pw = np.empty((r + 1, len(z)), dtype=u.dtype)
-    pw[0] = 1.0
-    pw[1] = u
-    # doubling: rows k..2k-1 are rows 0..k-1 times u^k, one vectorized
-    # product per power of two
+def _fill_powers(pw):
+    """pw[j] = pw[1]^j for j >= 2, given pw[0] = 1: doubling, rows k..2k-1 are
+    rows 0..k-1 times pw[1]^k, one vectorized product per power of two."""
     k = 2
-    while k <= r:
-        m = min(k, r + 1 - k)
+    while k < len(pw):
+        m = min(k, len(pw) - k)
         np.multiply(pw[:m], pw[k // 2] * pw[k // 2], out=pw[k : k + m])
         k *= 2
-    return inner, pw
 
 
-def _newton_ratio(cols, z):
-    """p(z)/p'(z) elementwise; cols is the (r + 1, 4) matrix of _newton_columns."""
-    inner, pw = _powers(z, len(cols) - 1)
-    v = cols.T @ pw
-    out = v[0] / v[1]
-    outer = ~inner
-    out[outer] = z[outer] * v[2, outer] / v[3, outer]
-    return out
+def _block_sums(k_in, k_out, baby, giant, n_in, out):
+    """sum_m giant[m] (k @ baby)[m] for h polynomials held blockwise.
+
+    k_in and k_out are (h nb, b) stacks of coefficient blocks; columns
+    [:n_in] of baby (b, a) take k_in and the rest k_out. out is an
+    (h nb, a) buffer. Returns (h, a).
+    """
+    if n_in:
+        np.matmul(k_in, baby[:, :n_in], out=out[:, :n_in])
+    if n_in < baby.shape[1]:
+        np.matmul(k_out, baby[:, n_in:], out=out[:, n_in:])
+    if len(giant) == 1:
+        return out
+    out = out.reshape(-1, len(giant), out.shape[1])
+    return np.multiply(out, giant, out=out).sum(axis=1)
 
 
-def _newton_columns(c):
-    """Coefficients, against powers of z, of p and p'; then, against powers of
-    w = 1/z, of z^-r p and z^(1-r) p', whose ratio times z is p/p'."""
-    j = np.arange(len(c))
-    return np.stack([c, np.append(c[1:] * j[1:], 0.0), c[::-1], (c * j)[::-1]], axis=1)
+def _inner_first(az):
+    """The order that puts the points with modulus az <= 1 first, and their count.
+
+    Those are evaluated in u = z; the rest in u = 1/z, where
+    p(z) = z^r sum_j a_(r-j) u^j, so that |u| <= 1 and no power overflows.
+    """
+    outer = az > 1.0
+    return np.argsort(outer, kind="stable"), len(az) - np.count_nonzero(outer)
 
 
-def _relative_residuals(coeffs, z):
-    """|p(z)| / sum_j |a_j| |z|^j, evaluated without overflow."""
-    c = np.asarray(coeffs, dtype=complex)
-    inner, pw = _powers(z, len(c) - 1)
-    num = np.abs(np.stack([c, c[::-1]]) @ pw)
-    absc = np.abs(c)
-    den = np.stack([absc, absc[::-1]]) @ np.abs(pw)
-    return np.where(inner, num[0] / den[0], num[1] / den[1])
+def _direct_cauchy_sums(za, z, active):
+    """sum_(j != active[i]) 1 / (za[i] - z[j]) by complex subtraction."""
+    diff = za[:, None] - z[None, :]
+    diff[np.arange(len(za)), active] = np.inf
+    return np.reciprocal(diff, out=diff).sum(axis=1)
+
+
+class _AberthWorkspace:
+    """Coefficient blocks of one polynomial and the work buffers of its root
+    iteration, sized for all r roots and reused by every sweep and attempt.
+
+    p is evaluated in blocks: with b = ceil(sqrt(r + 1)) (b = r + 1 below
+    _ONE_BLOCK_DEGREE) and nb = ceil((r + 1) / b),
+    p(u) = sum_m (u^b)^m sum_l a_(m b + l) u^l. a points need the powers
+    u^0..u^(b-1) and (u^b)^0..(u^b)^(nb-1), (b + nb) a of them, by doubling;
+    one (2 nb, b) x (b, a) product gives the blocks of p and p' together, and
+    one contraction against the giant powers sums them.
+    """
+
+    def __init__(self, c):
+        r = len(c) - 1
+        b = r + 1 if r < _ONE_BLOCK_DEGREE else math.isqrt(r) + 1
+        nb = -(-(r + 1) // b)
+        j = np.arange(r + 1)
+        # p and p' against powers of z; z^-r p and z^(1-r) p' against powers
+        # of 1/z, whose ratio times z is p/p'
+        k = np.zeros((4, nb * b), dtype=complex)
+        k[0, : r + 1] = c
+        k[1, :r] = c[1:] * j[1:]
+        k[2, : r + 1] = c[::-1]
+        k[3, : r + 1] = (c * j)[::-1]
+        self.nb = nb
+        self.k_in, self.k_out = k[:2].reshape(2 * nb, b), k[2:].reshape(2 * nb, b)
+        self.baby = np.ones((b, r), dtype=complex)
+        self.giant = np.ones((nb, r), dtype=complex)
+        self.prod = np.empty((2 * nb, r), dtype=complex)
+        if r * r >= _GRAM_MIN_WORK:
+            self.gram = np.empty(r * r)
+            # row j of `rows` is (x_j, y_j, 1, |z_j|^2) and column i of `cols`
+            # is (-2 x_i, -2 y_i, |z_i|^2, 1), so rows @ cols is |z_j - z_i|^2
+            self.rows = np.ones((r, 4))
+            self.cols = np.ones((4, r))
+
+    def _powers(self, za, n_in):
+        """Views baby (b, a) and giant (nb, a) holding u^l and (u^b)^m, where
+        u is za[:n_in] and 1/za[n_in:]."""
+        a = len(za)
+        baby, giant = self.baby[:, :a], self.giant[:, :a]
+        baby[1, :n_in] = za[:n_in]
+        np.reciprocal(za[n_in:], out=baby[1, n_in:])
+        _fill_powers(baby)
+        if len(giant) > 1:
+            np.multiply(baby[-1], baby[1], out=giant[1])
+            _fill_powers(giant)
+        return baby, giant
+
+    def newton_ratios(self, za, n_in):
+        """p(z)/p'(z) at za, whose first n_in entries have |z| <= 1."""
+        baby, giant = self._powers(za, n_in)
+        pd = _block_sums(self.k_in, self.k_out, baby, giant, n_in, self.prod[:, : len(za)])
+        w = pd[0] / pd[1]
+        w[n_in:] *= za[n_in:]
+        return w
+
+    def relative_residuals(self, z):
+        """|p(z)| / sum_j |a_j| |z|^j at each of the r roots z, without overflow."""
+        nb, a = self.nb, len(z)
+        order, n_in = _inner_first(np.abs(z))
+        baby, giant = self._powers(z[order], n_in)
+        num = _block_sums(self.k_in[:nb], self.k_out[:nb], baby, giant, n_in, self.prod[:nb, :a])[0]
+        k_in, k_out = np.abs(self.k_in[:nb]), np.abs(self.k_out[:nb])
+        den = _block_sums(k_in, k_out, np.abs(baby), np.abs(giant), n_in, np.empty((nb, a)))[0]
+        out = np.empty(a)
+        out[order] = np.abs(num) / den
+        return out
+
+    def cauchy_sums(self, z, active, za):
+        """sum_(j != active[i]) 1 / (za[i] - z[j]) for every active root.
+
+        With q_ji = 1 / |z_j - z_i|^2 the sum is conj(z_i) sum_j q_ji -
+        sum_j q_ji conj(z_j): one k = 4 product gives the (r, a) squared
+        distances, one in-place reciprocal q, and one n = 3 product the three
+        sums. Columns with a pair closer than sqrt(_GRAM_FLOOR) |z_i|, where
+        the product's cancellation error could pass 1e-11 of the term, are
+        summed by complex subtraction; so is every column when some |z| leaves
+        (1e-145, 1e145), where |z|^2 or q could leave the double range, or
+        when the sweep is too small to repay the products.
+        """
+        a, r = len(active), len(z)
+        if a * r < _GRAM_MIN_WORK:
+            return _direct_cauchy_sums(za, z, active)
+        az = np.abs(z)
+        if not (az.max() < 1e145 and az.min() > 1e-145):
+            return _direct_cauchy_sums(za, z, active)
+        rows, cols = self.rows, self.cols
+        zv = z.view(float).reshape(r, 2)
+        t = az * az
+        rows[:, :2] = zv
+        rows[:, 3] = t
+        np.multiply(zv.T, -2.0, out=cols[:2])
+        cols[2] = t
+        # np.take keeps the (4, a) operand C-ordered; cols[:, active] would not
+        h = np.matmul(rows, np.take(cols, active, axis=1), out=self.gram[: r * a].reshape(r, a))
+        h[active, np.arange(a)] = np.inf
+        close = np.flatnonzero(h.min(axis=0) <= _GRAM_FLOOR * t[active])
+        h[:, close] = np.inf
+        q = np.reciprocal(h, out=h).T @ rows[:, :3]
+        s = za * q[:, 2]
+        s -= q[:, :2].view(complex)[:, 0]
+        np.conjugate(s, out=s)
+        if len(close):
+            s[close] = _direct_cauchy_sums(za[close], z, active[close])
+        return s
 
 
 def _newton_polygon_starts(c):
@@ -166,6 +281,13 @@ def aberth_roots(coeffs, tol=1e-12, cap=200, retries=3):
     ill-conditioned roots whose forward steps stagnate still pass on backward
     error. Each retry restarts from the same circles, re-phased. Raises
     RootFindingError when every attempt fails.
+
+    A sweep over a active roots does its O(a r) work in BLAS products: p and
+    p' from sqrt(r)-long coefficient blocks, roots with |z| <= 1 in z and the
+    rest in 1/z (see _AberthWorkspace), and the Cauchy sums
+    sum_j 1/(z_i - z_j) from a Gram product of squared distances (see
+    _AberthWorkspace.cauchy_sums). The sums only precondition the step; each
+    root is still fixed by p(z) = 0 and the residual test.
     """
     c = np.asarray(coeffs, dtype=complex)
     r = len(c) - 1
@@ -181,28 +303,26 @@ def aberth_roots(coeffs, tol=1e-12, cap=200, retries=3):
         zeros = np.zeros(k, dtype=complex)
         return zeros if k == r else np.concatenate([zeros, aberth_roots(c[k:], tol, cap, retries)])
     radii, angles = _newton_polygon_starts(c)
-    cols = _newton_columns(c)
-    # one difference buffer for every sweep: reusing it, rather than
-    # allocating a smaller array as roots freeze, keeps peak RSS down
-    buf = np.empty((r, r), dtype=complex)
+    ws = _AberthWorkspace(c)
     for attempt in range(retries + 1):
         z = radii * np.exp(1j * (angles + 0.35 + 0.6 * attempt))
-        active = np.arange(r)
+        active, aza = np.arange(r), radii
         for _ in range(cap):
+            order, n_in = _inner_first(aza)
+            active = active[order]
             za = z[active]
-            w = _newton_ratio(cols, za)
-            diff = np.subtract(za[:, None], z[None, :], out=buf[: len(active)])
-            diff[np.arange(len(active)), active] = np.inf
-            np.reciprocal(diff, out=diff)
-            delta = w / (1.0 - w * diff.sum(axis=1))
-            za = za - delta
+            w = ws.newton_ratios(za, n_in)
+            delta = w / (1.0 - w * ws.cauchy_sums(z, active, za))
+            za -= delta
             z[active] = za
-            if not np.all(np.isfinite(za)):
+            if not np.isfinite(za).all():
                 break
-            active = active[np.abs(delta) > tol * (1.0 + np.abs(za))]
+            aza = np.abs(za)
+            moving = np.abs(delta) > tol * (1.0 + aza)
+            active, aza = active[moving], aza[moving]
             if len(active) == 0:
                 break
-        if np.all(np.isfinite(z)) and np.max(_relative_residuals(c, z)) <= _RESIDUAL_TOL:
+        if np.all(np.isfinite(z)) and np.max(ws.relative_residuals(z)) <= _RESIDUAL_TOL:
             return z
     raise RootFindingError(f"degree-{r} root iteration failed after {retries + 1} attempts")
 
@@ -324,17 +444,27 @@ def max_region_diameter(r):
     return max(region.diameter() for region in equal_area_partition(r))
 
 
+@lru_cache(maxsize=8)
+def _region_bounds(r):
+    """(r, 2) lower and upper bounds of (phi, cos theta) for each region of
+    equal_area_partition(r). Cached, read-only: every trial of a run asks for
+    the same r."""
+    regions = equal_area_partition(r)
+    lo = np.array([(reg.phi0, math.cos(reg.theta1)) for reg in regions])
+    hi = np.array([(reg.phi1, math.cos(reg.theta0)) for reg in regions])
+    lo.setflags(write=False)
+    hi.setflags(write=False)
+    return lo, hi
+
+
 def sample_equal_area(r, rng):
     """One point per partition region, uniform by area inside its region
-    (phi uniform, cos theta uniform): exact, rejection-free."""
-    regions = equal_area_partition(r)
-    pts = np.empty((r, 3))
-    for i, reg in enumerate(regions):
-        phi = rng.uniform(reg.phi0, reg.phi1)
-        z = rng.uniform(math.cos(reg.theta1), math.cos(reg.theta0))
-        rho = math.sqrt(max(0.0, 1.0 - z * z))
-        pts[i] = (rho * math.cos(phi), rho * math.sin(phi), z)
-    return pts
+    (phi uniform, cos theta uniform): exact, rejection-free. One uniform call
+    draws phi and then cos theta for each region in turn."""
+    lo, hi = _region_bounds(r)
+    phi, z = rng.uniform(lo, hi).T
+    rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    return np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
 
 
 # --- spherical ensemble -------------------------------------------------------

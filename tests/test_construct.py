@@ -352,9 +352,47 @@ def _csv_empty_meta(path):
     return path.with_suffix(".csv"), "meta must be an object with keys ensemble, r, s, seed"
 
 
+def _json_that_does_not_parse(path):
+    path.with_suffix(".json").write_text('{"meta": {"ensemble": "uniform", "r": 1,')
+    return path.with_suffix(".json"), "the document is not valid JSON"
+
+
+def _csv_meta_line_that_does_not_parse(path):
+    lines = ["# meta: {bad", "m11,m12,m13,m21,m22,m23,m31,m32,m33", ",".join(repr(v) for v in _EYE_ROW)]
+    path.with_suffix(".csv").write_text("\n".join(lines) + "\n")
+    return path.with_suffix(".csv"), "the meta line is not valid JSON"
+
+
+def _json_meta_with(message, **fields):
+    def write(path):
+        meta = dict(_META, **fields)
+        path.with_suffix(".json").write_text(json.dumps({"meta": meta, "matrices": [_EYE_ROW]}))
+        return path.with_suffix(".json"), message
+
+    write.__name__ = "_json_meta_" + "_".join(f"{key}_{value}" for key, value in fields.items())
+    return write
+
+
 @pytest.mark.parametrize(
     "write",
-    [_json_without_meta, _json_without_matrices, _json_meta_with_unknown_key, _json_meta_not_an_object, _csv_empty_meta],
+    [
+        _json_without_meta,
+        _json_without_matrices,
+        _json_meta_with_unknown_key,
+        _json_meta_not_an_object,
+        _csv_empty_meta,
+        _json_that_does_not_parse,
+        _csv_meta_line_that_does_not_parse,
+        _json_meta_with("meta ensemble must be a string", ensemble=5, r="abc", s=-3, seed="x"),
+        _json_meta_with("meta r must be an integer >= 1", r="abc"),
+        _json_meta_with("meta r must be an integer >= 1", r=0),
+        _json_meta_with("meta r must be an integer >= 1", r=True),
+        _json_meta_with("meta s must be an integer >= 1", s=-3),
+        _json_meta_with("meta s must be an integer >= 1", s=1.0),
+        _json_meta_with("meta seed must be an integer or null", seed="x"),
+        _json_meta_with("meta version must be a string", version=1),
+        _json_meta_with("meta r = 1 and s = 2 give 2 rotations, the file holds 1", s=2),
+    ],
 )
 def test_malformed_meta_is_a_usage_error_naming_the_file(tmp_path, capsys, write):
     path, message = write(tmp_path / "meta")

@@ -2,7 +2,9 @@
 equal-area partition, and the generalized-eigenvalue (spherical) ensemble.
 
 Root finding gets the heaviest scrutiny because everything downstream of the
-zeros ensemble relies on it being accurate at high degree.
+zeros ensemble relies on it being accurate at high degree. Every test here
+fails on a RuntimeWarning: an overflow or invalid value inside the root
+finder is a defect even when the result passes.
 """
 
 import math
@@ -14,6 +16,10 @@ from so3energy.ensembles import (
     ENSEMBLE_KINDS,
     EnsembleSpec,
     RootFindingError,
+    _AberthWorkspace,
+    _block_sums,
+    _inner_first,
+    _newton_polygon_starts,
     aberth_roots,
     equal_area_partition,
     max_region_diameter,
@@ -23,6 +29,8 @@ from so3energy.ensembles import (
     sample_spherical_ensemble,
     sample_uniform,
 )
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def assert_on_sphere(pts, r):
@@ -69,6 +77,11 @@ def test_sample_uniform_law():
 # --- root finding ---------------------------------------------------------------
 
 
+def relative_residuals(coeffs, z):
+    # |p(z)| / sum_j |a_j| |z|^j at the deg(p) points z, as the root finder's gate reads it
+    return _AberthWorkspace(np.asarray(coeffs, dtype=complex)).relative_residuals(z)
+
+
 def poly_eval_stable(coeffs, z):
     # reference evaluation via numpy polyval on reversed coefficients
     return np.polyval(coeffs[::-1], z)
@@ -100,9 +113,7 @@ def test_aberth_roots_high_degree_residuals():
     roots = aberth_roots(coeffs)
     assert len(roots) == deg
     # backward error |p(z)| / sum |a_j| |z|^j, evaluated in extended range
-    from so3energy.ensembles import _relative_residuals
-
-    res = _relative_residuals(coeffs, roots)
+    res = relative_residuals(coeffs, roots)
     assert np.max(res) < 1e-10
 
 
@@ -131,7 +142,7 @@ def kostlan_coeffs(rng, deg):
 
 def assert_converged_or_raised(coeffs):
     # the finder may give up, but never returns a non-finite or unchecked root
-    from so3energy.ensembles import _RESIDUAL_TOL, _relative_residuals
+    from so3energy.ensembles import _RESIDUAL_TOL
 
     try:
         roots = aberth_roots(coeffs)
@@ -139,19 +150,17 @@ def assert_converged_or_raised(coeffs):
         return
     assert len(roots) == len(coeffs) - 1
     assert np.all(np.isfinite(roots))
-    assert np.max(_relative_residuals(coeffs, roots)) <= _RESIDUAL_TOL
+    assert np.max(relative_residuals(coeffs, roots)) <= _RESIDUAL_TOL
 
 
 def test_aberth_roots_spread_moduli():
     # roots 10^-6 .. 10^6: the Newton polygon has one edge per root
-    from so3energy.ensembles import _newton_polygon_starts, _relative_residuals
-
     want = 10.0 ** np.arange(-6, 7)
     coeffs = np.poly(want)[::-1].astype(complex)
     radii, _ = _newton_polygon_starts(coeffs)
     assert np.all(np.abs(np.sort(radii) / want - 1.0) <= 0.12)
     roots = aberth_roots(coeffs)
-    assert np.max(_relative_residuals(coeffs, roots)) <= 1e-10
+    assert np.max(relative_residuals(coeffs, roots)) <= 1e-10
     assert np.max(np.abs(np.sort(roots.real) / want - 1.0)) < 1e-10
     assert np.max(np.abs(roots.imag) / want) < 1e-10
 
@@ -177,6 +186,121 @@ def test_aberth_roots_match_companion_eigenvalues(deg):
     nearest = np.abs(roots[:, None] - ref[None, :]).argmin(axis=1)
     assert sorted(nearest) == list(range(deg))  # a one-to-one matching
     assert np.max(np.abs(roots - ref[nearest]) / np.abs(ref[nearest])) <= 1e-8
+
+
+def _reference_aberth(c, tol=1e-12, cap=200, retries=3):
+    """Aberth iteration in its plain elementwise form: one (r + 1, a) power
+    matrix against all four Newton columns, and the Cauchy sums by complex
+    subtraction. The starts, freezing and residual gate are aberth_roots',
+    so the roots come back in the same index order."""
+    r = len(c) - 1
+    j = np.arange(r + 1)
+    cols = np.stack([c, np.append(c[1:] * j[1:], 0.0), c[::-1], (c * j)[::-1]], axis=1)
+
+    def powers(z):
+        # rows u^0..u^r by doubling, u = z where |z| <= 1 and 1/z elsewhere
+        inner = np.abs(z) <= 1.0
+        u = z.copy()
+        u[~inner] = 1.0 / u[~inner]
+        pw = np.empty((r + 1, len(z)), dtype=complex)
+        pw[0], pw[1] = 1.0, u
+        k = 2
+        while k <= r:
+            m = min(k, r + 1 - k)
+            np.multiply(pw[:m], pw[k // 2] * pw[k // 2], out=pw[k : k + m])
+            k *= 2
+        return inner, pw
+
+    radii, angles = _newton_polygon_starts(c)
+    for attempt in range(retries + 1):
+        z = radii * np.exp(1j * (angles + 0.35 + 0.6 * attempt))
+        active = np.arange(r)
+        for _ in range(cap):
+            za = z[active]
+            inner, pw = powers(za)
+            v = cols.T @ pw
+            w = v[0] / v[1]
+            w[~inner] = za[~inner] * v[2, ~inner] / v[3, ~inner]
+            diff = za[:, None] - z[None, :]
+            diff[np.arange(len(active)), active] = np.inf
+            delta = w / (1.0 - w * np.reciprocal(diff).sum(axis=1))
+            za = za - delta
+            z[active] = za
+            if not np.all(np.isfinite(za)):
+                break
+            active = active[np.abs(delta) > tol * (1.0 + np.abs(za))]
+            if len(active) == 0:
+                break
+        inner, pw = powers(z)
+        num = np.abs(np.stack([c, c[::-1]]) @ pw)
+        den = np.stack([np.abs(c), np.abs(c[::-1])]) @ np.abs(pw)
+        if np.all(np.isfinite(z)) and np.max(np.where(inner, num[0] / den[0], num[1] / den[1])) <= 1e-10:
+            return z
+    raise RootFindingError("reference iteration failed")
+
+
+def test_aberth_roots_match_reference_in_order():
+    # 200 Kostlan draws: each root must match the reference's root of the same
+    # index, since each root is later paired with its own fiber phase
+    for deg, draws in [(24, 100), (96, 50), (256, 30), (400, 15), (1029, 5)]:
+        rng = np.random.default_rng(83 + deg)
+        for _ in range(draws):
+            coeffs = kostlan_coeffs(rng, deg)
+            want = _reference_aberth(coeffs)
+            got = aberth_roots(coeffs)
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+
+
+def _spread_points(rng, r, lo, hi):
+    return 10.0 ** rng.uniform(lo, hi, r) * np.exp(2j * np.pi * rng.uniform(size=r))
+
+
+def _cauchy_point_sets():
+    rng = np.random.default_rng(84)
+    yield "random", rng.standard_normal(200) + 1j * rng.standard_normal(200)
+    z = rng.standard_normal(200) + 1j * rng.standard_normal(200)
+    z[1::2] = z[::2] + 1e-9 * np.exp(2j * np.pi * rng.uniform(size=100))
+    yield "pairs 1e-9 apart", z
+    yield "moduli 1e-140..1e140", _spread_points(rng, 200, -140, 140)
+    yield "moduli 1e-150..1e150", _spread_points(rng, 200, -150, 150)
+    yield "kostlan roots", aberth_roots(kostlan_coeffs(rng, 200))
+
+
+@pytest.mark.parametrize("name, z", list(_cauchy_point_sets()), ids=lambda v: v if isinstance(v, str) else "")
+def test_gram_cauchy_sums_match_direct_sums(name, z):
+    r = len(z)
+    ws = _AberthWorkspace(np.ones(r + 1, dtype=complex))
+    rng = np.random.default_rng(85)
+    for active in (np.arange(r), np.sort(rng.permutation(r)[: r // 3]), rng.permutation(r)[:21]):
+        za = z[active]
+        got = ws.cauchy_sums(z, active, za)
+        inv = za[:, None] - z[None, :]
+        inv[np.arange(len(active)), active] = np.inf
+        inv = 1.0 / inv
+        err = np.abs(got - inv.sum(axis=1))
+        assert np.all(err <= 1e-10 * np.abs(inv).sum(axis=1)), name
+
+
+@pytest.mark.parametrize("deg", [1, 2, 24, 63, 64, 96, 256, 1029])
+def test_blocked_p_and_dp_match_horner(deg):
+    # p and p' at |z| <= 1, z^-r p and z^(1-r) p' in u = 1/z elsewhere, each
+    # within 1e-12 of sum_j |a_j| |u|^j (and the same for p')
+    rng = np.random.default_rng(86 + deg)
+    c = kostlan_coeffs(rng, deg)
+    z = _spread_points(rng, deg, -1.5, 1.5)
+    order, n_in = _inner_first(np.abs(z))
+    z = z[order]
+    ws = _AberthWorkspace(c)
+    baby, giant = ws._powers(z, n_in)
+    got = _block_sums(ws.k_in, ws.k_out, baby, giant, n_in, ws.prod[:, :deg])
+    u = np.concatenate([z[:n_in], 1.0 / z[n_in:]])
+    j = np.arange(deg + 1)
+    dc = np.append(c[1:] * j[1:], 0.0)
+    for row, k_in, k_out in [(0, c, c[::-1]), (1, dc, (c * j)[::-1])]:
+        poly = np.polynomial.polynomial.polyval
+        want = np.concatenate([poly(u[:n_in], k_in), poly(u[n_in:], k_out)])
+        scale = np.concatenate([poly(np.abs(u[:n_in]), np.abs(k_in)), poly(np.abs(u[n_in:]), np.abs(k_out))])
+        assert np.all(np.abs(got[row] - want) <= 1e-12 * scale)
 
 
 def test_aberth_roots_refuses_degree_above_limit():
@@ -259,6 +383,34 @@ def test_equal_area_region_diameter_brute_force():
         pts = np.stack([rho * np.cos(phis), rho * np.sin(phis), zs], axis=1)
         dist = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
         assert dist.max() <= d + 1e-12
+
+
+def _equal_area_by_region(r, rng):
+    # one point per region, drawn region by region
+    pts = np.empty((r, 3))
+    for i, reg in enumerate(equal_area_partition(r)):
+        phi = rng.uniform(reg.phi0, reg.phi1)
+        z = rng.uniform(math.cos(reg.theta1), math.cos(reg.theta0))
+        rho = math.sqrt(max(0.0, 1.0 - z * z))
+        pts[i] = (rho * math.cos(phi), rho * math.sin(phi), z)
+    return pts
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 7, 100, 400])
+def test_sample_equal_area_matches_region_by_region_draws(r):
+    for seed in range(5):
+        want = _equal_area_by_region(r, np.random.default_rng(seed))
+        got = sample_equal_area(r, np.random.default_rng(seed))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_numpy_cos_and_sin_match_libm_bit_for_bit():
+    # the batched equal-area sampler relies on np.cos / np.sin giving the bits
+    # of math.cos / math.sin, which some SIMD builds do not
+    x = np.random.default_rng(87).uniform(0.0, 2.0 * math.pi, 100_000)
+    for vec, scalar in [(np.cos, math.cos), (np.sin, math.sin)]:
+        want = np.array([scalar(v) for v in x.tolist()])
+        assert np.array_equal(vec(x).view(np.uint64), want.view(np.uint64))
 
 
 def test_sample_equal_area_one_point_per_region():
