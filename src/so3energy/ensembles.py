@@ -21,20 +21,22 @@ ENSEMBLE_KINDS = ("uniform", "zeros", "eap", "spherical")
 _DEGENERATE_LEAD = 1e-300
 _RESIDUAL_TOL = 1e-10
 # Aberth's Cauchy sums come from a Gram product of squared distances, except
-# for a root with a neighbour within sqrt(_GRAM_FLOOR) |z|, where the
-# product's cancellation error (about 4 eps / _GRAM_FLOOR of the term) is
-# too large. Sweeps over fewer than _GRAM_MIN_WORK (active root, root) pairs
-# take complex subtraction throughout, and degrees below _ONE_BLOCK_DEGREE
-# evaluate p and p' in one block: there a sweep's cost is numpy call
-# overhead, not arithmetic (crossovers measured on Kostlan polynomials,
-# r = 24 to 160, one BLAS thread).
+# for pairs closer than sqrt(_GRAM_FLOOR) |z_i|, where the product's
+# cancellation error (about 4 eps / _GRAM_FLOOR of the term) is too large.
+# The products run over blocks of active roots whose distances take about
+# _GRAM_BLOCK_BYTES, so that they stay in cache. Sweeps over fewer than
+# _GRAM_MIN_WORK (active root, root) pairs take complex subtraction
+# throughout, and degrees below _ONE_BLOCK_DEGREE evaluate p and p' in one
+# block: there a sweep's cost is numpy call overhead, not arithmetic
+# (crossovers measured on Kostlan polynomials, r = 24 to 160, one BLAS
+# thread).
 _GRAM_FLOOR = 1e-4
+_GRAM_BLOCK_BYTES = 1 << 20
 _GRAM_MIN_WORK = 4096
 _ONE_BLOCK_DEGREE = 64
-# the root finder holds a (degree x degree) float Gram buffer, 134 MB at this
-# degree, and a sweep that falls back to complex subtraction allocates an
-# (active x degree) complex array, up to 268 MB; a larger polynomial is
-# refused rather than run out of memory
+# a sweep that falls back to complex subtraction allocates an
+# (active x degree) complex array, up to 268 MB at this degree; a larger
+# polynomial is refused rather than run out of memory
 _MAX_DEGREE = 4096
 # the coefficient variances comb(r, j) / 2 pass the double range from r = 1030
 _MAX_ZEROS_DEGREE = 1029
@@ -157,7 +159,8 @@ class _AberthWorkspace:
         self.giant = np.ones((nb, r), dtype=complex)
         self.prod = np.empty((2 * nb, r), dtype=complex)
         if r * r >= _GRAM_MIN_WORK:
-            self.gram = np.empty(r * r)
+            self.chunk = max(8, _GRAM_BLOCK_BYTES // (8 * r))
+            self.gram = np.empty(r * min(r, self.chunk))
             # row j of `rows` is (x_j, y_j, 1, |z_j|^2) and column i of `cols`
             # is (-2 x_i, -2 y_i, |z_i|^2, 1), so rows @ cols is |z_j - z_i|^2
             self.rows = np.ones((r, 4))
@@ -200,13 +203,15 @@ class _AberthWorkspace:
         """sum_(j != active[i]) 1 / (za[i] - z[j]) for every active root.
 
         With q_ji = 1 / |z_j - z_i|^2 the sum is conj(z_i) sum_j q_ji -
-        sum_j q_ji conj(z_j): one k = 4 product gives the (r, a) squared
+        sum_j q_ji conj(z_j). For each block of active roots (see
+        _GRAM_BLOCK_BYTES) one k = 4 product gives the (r, block) squared
         distances, one in-place reciprocal q, and one n = 3 product the three
-        sums. Columns with a pair closer than sqrt(_GRAM_FLOOR) |z_i|, where
-        the product's cancellation error could pass 1e-11 of the term, are
-        summed by complex subtraction; so is every column when some |z| leaves
-        (1e-145, 1e145), where |z|^2 or q could leave the double range, or
-        when the sweep is too small to repay the products.
+        sums. A pair closer than sqrt(_GRAM_FLOOR) |z_i|, where the product's
+        cancellation error could pass 1e-11 of the term, is left out of the
+        product and added by complex subtraction. Every sum takes complex
+        subtraction when some |z| leaves (1e-145, 1e145), where |z|^2 or q
+        could leave the double range, or when the sweep is too small to repay
+        the products.
         """
         a, r = len(active), len(z)
         if a * r < _GRAM_MIN_WORK:
@@ -221,17 +226,33 @@ class _AberthWorkspace:
         rows[:, 3] = t
         np.multiply(zv.T, -2.0, out=cols[:2])
         cols[2] = t
+        s = np.empty(a, dtype=complex)
+        for lo in range(0, a, self.chunk):
+            part = slice(lo, lo + self.chunk)
+            s[part] = self._gram_sums(z, t, active[part], za[part])
+        return s
+
+    def _gram_sums(self, z, t, active, za):
+        """cauchy_sums for a block of active roots whose (r, a) distance
+        block fits the Gram buffer; rows and cols hold the current roots."""
+        a, r = len(active), len(z)
+        rows = self.rows
         # np.take keeps the (4, a) operand C-ordered; cols[:, active] would not
-        h = np.matmul(rows, np.take(cols, active, axis=1), out=self.gram[: r * a].reshape(r, a))
+        h = np.matmul(rows, np.take(self.cols, active, axis=1), out=self.gram[: r * a].reshape(r, a))
         h[active, np.arange(a)] = np.inf
-        close = np.flatnonzero(h.min(axis=0) <= _GRAM_FLOOR * t[active])
-        h[:, close] = np.inf
+        floor = _GRAM_FLOOR * t[active]
+        close = np.flatnonzero(h.min(axis=0) <= floor)
+        if len(close):
+            # the close pairs (j, i) leave the product and are added exactly
+            j, k = np.nonzero(h[:, close] <= floor[close])
+            i = close[k]
+            h[j, i] = np.inf
         q = np.reciprocal(h, out=h).T @ rows[:, :3]
         s = za * q[:, 2]
         s -= q[:, :2].view(complex)[:, 0]
         np.conjugate(s, out=s)
         if len(close):
-            s[close] = _direct_cauchy_sums(za[close], z, active[close])
+            np.add.at(s, i, np.reciprocal(za[i] - z[j]))
         return s
 
 

@@ -264,6 +264,8 @@ def _cauchy_point_sets():
     yield "moduli 1e-140..1e140", _spread_points(rng, 200, -140, 140)
     yield "moduli 1e-150..1e150", _spread_points(rng, 200, -150, 150)
     yield "kostlan roots", aberth_roots(kostlan_coeffs(rng, 200))
+    # every point within 1% of its modulus of two others, in several blocks
+    yield "1000 on the unit circle", np.exp(2j * np.pi * (np.arange(1000) + 0.3 * rng.uniform(size=1000)) / 1000)
 
 
 @pytest.mark.parametrize("name, z", list(_cauchy_point_sets()), ids=lambda v: v if isinstance(v, str) else "")
