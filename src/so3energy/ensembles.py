@@ -23,15 +23,15 @@ _RESIDUAL_TOL = 1e-10
 # Aberth's Cauchy sums come from a Gram product of squared distances, except
 # for pairs closer than sqrt(_GRAM_FLOOR) |z_i|, where the product's
 # cancellation error (about 4 eps / _GRAM_FLOOR of the term) is too large.
-# The products run over blocks of active roots whose distances take about
-# _GRAM_BLOCK_BYTES, so that they stay in cache. Sweeps over fewer than
+# The products run over chunks of active roots whose distances take about
+# _GRAM_CHUNK_BYTES, so that they stay in cache. Sweeps over fewer than
 # _GRAM_MIN_WORK (active root, root) pairs take complex subtraction
 # throughout, and degrees below _ONE_BLOCK_DEGREE evaluate p and p' in one
 # block: there a sweep's cost is numpy call overhead, not arithmetic
 # (crossovers measured on Kostlan polynomials, r = 24 to 160, one BLAS
 # thread).
 _GRAM_FLOOR = 1e-4
-_GRAM_BLOCK_BYTES = 1 << 20
+_GRAM_CHUNK_BYTES = 1 << 20
 _GRAM_MIN_WORK = 4096
 _ONE_BLOCK_DEGREE = 64
 # a sweep that falls back to complex subtraction allocates an
@@ -159,7 +159,7 @@ class _AberthWorkspace:
         self.giant = np.ones((nb, r), dtype=complex)
         self.prod = np.empty((2 * nb, r), dtype=complex)
         if r * r >= _GRAM_MIN_WORK:
-            self.chunk = max(8, _GRAM_BLOCK_BYTES // (8 * r))
+            self.chunk = max(8, _GRAM_CHUNK_BYTES // (8 * r))
             self.gram = np.empty(r * min(r, self.chunk))
             # row j of `rows` is (x_j, y_j, 1, |z_j|^2) and column i of `cols`
             # is (-2 x_i, -2 y_i, |z_i|^2, 1), so rows @ cols is |z_j - z_i|^2
@@ -203,8 +203,8 @@ class _AberthWorkspace:
         """sum_(j != active[i]) 1 / (za[i] - z[j]) for every active root.
 
         With q_ji = 1 / |z_j - z_i|^2 the sum is conj(z_i) sum_j q_ji -
-        sum_j q_ji conj(z_j). For each block of active roots (see
-        _GRAM_BLOCK_BYTES) one k = 4 product gives the (r, block) squared
+        sum_j q_ji conj(z_j). For each chunk of active roots (see
+        _GRAM_CHUNK_BYTES) one k = 4 product gives the (r, chunk) squared
         distances, one in-place reciprocal q, and one n = 3 product the three
         sums. A pair closer than sqrt(_GRAM_FLOOR) |z_i|, where the product's
         cancellation error could pass 1e-11 of the term, is left out of the
@@ -233,8 +233,8 @@ class _AberthWorkspace:
         return s
 
     def _gram_sums(self, z, t, active, za):
-        """cauchy_sums for a block of active roots whose (r, a) distance
-        block fits the Gram buffer; rows and cols hold the current roots."""
+        """cauchy_sums for a chunk of active roots whose (r, a) distances fit
+        the Gram buffer; rows and cols hold the current roots."""
         a, r = len(active), len(z)
         rows = self.rows
         # np.take keeps the (4, a) operand C-ordered; cols[:, active] would not
