@@ -11,14 +11,7 @@ import json
 import math
 import sys
 
-from .constants import (
-    all_constants,
-    eap_energy_upper_bound,
-    expected_configuration_energy,
-    kappa,
-    optimal_s,
-    realizable_n,
-)
+from .constants import _energy_prediction, all_constants, kappa, optimal_s, realizable_n
 from .construct import build_configuration, load_configuration, save_configuration
 from .energy import log_energy
 from .ensembles import ENSEMBLE_KINDS, EnsembleSpec, sample_points
@@ -138,12 +131,8 @@ def _cmd_energy(args):
 
 
 def _cmd_predict(args):
-    s = _resolve_s(args.ensemble, args.r, args.s)
+    s, value, kind = _energy_prediction(args.ensemble, args.r, args.s)
     n = args.r * s
-    if args.ensemble == "eap":
-        value, kind = eap_energy_upper_bound(args.r, s), "upper_bound"
-    else:
-        value, kind = expected_configuration_energy(args.ensemble, args.r, s), "mean"
     kappa_term = kappa() * n * n
     nlogn_term = -n * math.log(n) / 3.0
     print(

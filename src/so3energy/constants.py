@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .energy import fibered_energy, sphere_kernel
+from .energy import fibered_energy, predicted_energy, sphere_kernel
 from .quadrature import integrate, integrate_improper
 from .specfun import jacobi_p, gegenbauer, log_gamma
 
@@ -93,11 +93,14 @@ def optimal_s(kind, r):
 
 
 def realizable_n(kind, r_max):
-    """All (r, s, n) with the optimal fiber count for r = 2 .. r_max."""
+    """All (r, s, n) with the optimal fiber count for r = 2 .. r_max; for the
+    harmonic process only the r = (L+1)^2 it is defined at."""
     if r_max < 2:
         raise ValueError(f"need r_max >= 2, got {r_max}")
     out = []
     for r in range(2, r_max + 1):
+        if kind == "harmonic" and math.isqrt(r) ** 2 != r:
+            continue
         s = optimal_s(kind, r)
         out.append((r, s, r * s))
     return out
@@ -228,6 +231,21 @@ def expected_configuration_energy(kind, r, s):
 def eap_energy_upper_bound(r, s):
     """Upper bound for the expected configuration energy of the eap process."""
     return fibered_energy(r, s, eap_kernel_lower_bound(r))
+
+
+def _energy_prediction(kind, r, s=None, points=None):
+    """(s, value, prediction kind) that `predict` prints and `mc` tests against.
+
+    s=None takes optimal_s. Over fixed base points the value is their phase
+    average, predicted_energy; otherwise eap has only its upper bound and
+    every other ensemble its expected configuration energy.
+    """
+    s = optimal_s(kind, r) if s is None else s
+    if points is not None:
+        return s, predicted_energy(points, s), "mean"
+    if kind == "eap":
+        return s, eap_energy_upper_bound(r, s), "upper_bound"
+    return s, expected_configuration_energy(kind, r, s), "mean"
 
 
 # --- density bound report -------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .geometry import base_frames, rotation_mask
+from .geometry import _unit_points, base_frames, rotation_mask
 from .streams import DOMAIN_FIBER, keyed_uniforms
 
 FORMAT_VERSION = "1"
@@ -69,9 +69,11 @@ def build_configuration(points, s, rng, ensemble="custom"):
 
     `rng` is either an integer master seed (each fiber's phase then comes
     from its own derived stream, so parallel construction is reproducible)
-    or a numpy Generator (phases drawn from it in fiber order).
+    or a numpy Generator (phases drawn from it in fiber order). Raises
+    ValueError unless `points` is an (r, 3) array of finite unit vectors
+    (norm within 1e-10 of 1).
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = _unit_points(points)
     r = len(points)
     if r < 1:
         raise ValueError("need at least one base point")

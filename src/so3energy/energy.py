@@ -30,6 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .geometry import _unit_points
 from .quadrature import integrate
 
 _TILE = 64
@@ -152,13 +153,17 @@ def log_energy(config):
     """Logarithmic energy of a configuration (or a raw (n, 3, 3) array).
 
     Returns EnergyValue; a pair closer than the coincidence tolerance sets
-    the infinite flag instead of producing a silent -inf.
+    the infinite flag instead of producing a silent -inf. Raises ValueError
+    for an empty stack or a non-finite entry.
     """
     mats = getattr(config, "matrices", config)
     mats = np.asarray(mats, dtype=float)
     n = len(mats)
     if n < 1:
         raise ValueError("configuration must contain at least one rotation")
+    if not np.isfinite(mats).all():
+        i = np.flatnonzero(~np.isfinite(mats.reshape(n, -1)).all(axis=1))[0]
+        raise ValueError(f"matrix {i} has a non-finite entry")
     if n == 1:
         return EnergyValue(0.0)
     energies, mins = _rows_energies(mats.reshape(1, n, 9))
@@ -197,8 +202,9 @@ def fibered_energy(r, s, kernel_energy):
 
 def predicted_energy(points, s):
     """Expected energy over the phases of s-fibers on fixed base points:
-    fibered_energy of their sphere_kernel_energy."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    fibered_energy of their sphere_kernel_energy. The points must be finite
+    unit vectors (norm within 1e-10 of 1)."""
+    pts = _unit_points(points)
     r = len(pts)
     if r < 1 or s < 1:
         raise ValueError("need r >= 1 and s >= 1")

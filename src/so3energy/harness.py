@@ -16,9 +16,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .constants import eap_energy_upper_bound, expected_configuration_energy, optimal_s
+from .constants import _energy_prediction
 from .construct import fiber_matrices
-from .energy import COINCIDENCE_TOL, _rows_energies, fiber_pair_energies, predicted_energy
+from .energy import COINCIDENCE_TOL, _rows_energies, fiber_pair_energies
 from .ensembles import EnsembleSpec, sample_points
 from .geometry import base_frames
 from .streams import DOMAIN_POINTS, DOMAIN_TRIAL, keyed_stream, keyed_uniforms
@@ -133,21 +133,12 @@ def run_experiment(cfg, workers=None):
     """
     spec = cfg.spec
     kind, r = spec.kind, spec.r
-    s = spec.s if spec.s is not None else optimal_s(kind, r)
-    n = r * s
-
-    frames = None
+    points = None
     if not cfg.resample_points:
         points = sample_points(kind, r, keyed_stream(cfg.master_seed, DOMAIN_POINTS))
-        frames = base_frames(points)
-        prediction = predicted_energy(points, s)
-        prediction_kind = "mean"
-    elif kind == "eap":
-        prediction = eap_energy_upper_bound(r, s)
-        prediction_kind = "upper_bound"
-    else:
-        prediction = expected_configuration_energy(kind, r, s)
-        prediction_kind = "mean"
+    s, prediction, prediction_kind = _energy_prediction(kind, r, spec.s, points)
+    n = r * s
+    frames = None if points is None else base_frames(points)
 
     b = chunk_size(n)
     tasks = [

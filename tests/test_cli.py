@@ -99,6 +99,19 @@ def test_predict_harmonic_requires_square(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("kind", ["uniform", "zeros", "spherical", "eap", "harmonic"])
+def test_predict_accepts_every_table_row(capsys, kind):
+    code, out, _ = run_cli(capsys, "table", "--ensemble", kind, "--rmax", "30")
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert rows
+    for r, s, n in rows:
+        code, out, err = run_cli(capsys, "predict", "--ensemble", kind, "--r", r)
+        assert code == 0, err
+        doc = json.loads(out)
+        assert (doc["s"], doc["n"]) == (int(s), int(n))
+
+
 def test_mc_json_pass(capsys):
     code, out, _ = run_cli(
         capsys, "mc", "--ensemble", "uniform", "--r", "3", "--s", "2",

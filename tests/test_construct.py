@@ -174,6 +174,20 @@ def test_build_configuration_validation():
         build_configuration([[0.0, 0.0, 1.0]], 0, rng=0)
     with pytest.raises(ValueError):
         build_configuration([0.0, 0.0, 1.0], 0, rng=np.random.default_rng(0))
+    with pytest.raises(ValueError, match=r"shape \(1, 2\)"):
+        build_configuration([0.0, 1.0], 2, rng=0)
+
+
+@pytest.mark.parametrize(
+    "bad", [[math.nan, 0.0, 0.0], [math.inf, 0.0, 0.0], [1.0 + 2e-10, 0.0, 0.0], [0.6, 0.0, 0.6]]
+)
+def test_build_configuration_rejects_non_unit_points(bad):
+    # a NaN point used to pass base_frames' pole test as the south pole and
+    # give a finite energy
+    pts = [[0.0, 0.0, 1.0], bad, [1.0, 0.0, 0.0]]
+    with pytest.raises(ValueError, match="point 1 is"):
+        build_configuration(pts, 2, rng=0)
+    assert build_configuration([[0.0, 0.0, 1.0], [1.0 + 5e-11, 0.0, 0.0]], 2, rng=0).n == 4
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -146,6 +146,14 @@ def test_log_energy_single_matrix_is_zero():
     assert log_energy(np.eye(3)[None]).value == 0.0
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_log_energy_rejects_non_finite_matrices(value):
+    mats = haar_rotations(np.random.default_rng(3), 4)
+    mats[2, 1, 0] = value
+    with pytest.raises(ValueError, match="matrix 2 has a non-finite entry"):
+        log_energy(mats)
+
+
 def test_direct_route_builds_no_n_by_n_array():
     # n = 4000: a (4000, 4000) float Gram would take 122 MiB; the row bands
     # take 2 MiB. The value matches the sum over a full distance array.
@@ -215,6 +223,17 @@ def test_predicted_energy_explicit_small_case():
     assert predicted_energy(pts, s) == pytest.approx(expected, rel=1e-14)
     with pytest.raises(ValueError):
         predicted_energy(pts, 0)
+
+
+@pytest.mark.parametrize(
+    "bad", [[math.nan, 0.0, 0.0], [math.inf, 0.0, 0.0], [1.0 + 2e-10, 0.0, 0.0], [0.6, 0.0, 0.6]]
+)
+def test_predicted_energy_rejects_non_unit_points(bad):
+    # a NaN point used to give a nan prediction without complaint
+    pts = [[0.0, 0.0, 1.0], bad, [1.0, 0.0, 0.0]]
+    with pytest.raises(ValueError, match="point 1 is"):
+        predicted_energy(pts, 2)
+    assert math.isfinite(predicted_energy([[0.0, 0.0, 1.0], [1.0 + 5e-11, 0.0, 0.0]], 2))
 
 
 def test_predicted_energy_single_fiber_consistency():

@@ -89,6 +89,13 @@ def test_gegenbauer_two_routes_agree_and_match_scipy():
             scale = max(1.0, float(np.max(np.abs(c))))
             assert np.max(np.abs(a - b)) < 1e-10 * scale
             assert np.max(np.abs(a - c)) < 1e-10 * scale
+    # through degree 60 on the closed interval, relative to each value
+    xs = np.linspace(-1.0, 1.0, 41)
+    for n in range(61):
+        for lam in [0.5, 2.0]:
+            a = gegenbauer(n, lam, xs)
+            b = gegenbauer_via_jacobi(n, lam, xs)
+            assert np.max(np.abs(a - b) / np.maximum(np.abs(b), 1e-12)) <= 1e-9, (n, lam)
 
 
 def test_kernel_gegenbauer_coeff_fixture(oracle):

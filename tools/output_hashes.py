@@ -81,8 +81,9 @@ def _commands():
             yield f"run_experiment fixed-point uniform r={r} s={s} seed={seed}", (
                 lambda c=cfg: _digest(run_experiment(c).to_json())
             )
-    argv = ["verify", "--suite", "fast"]
-    yield " ".join(argv), lambda a=argv: _cli(a)
+    for suite in ("fast", "full"):
+        argv = ["verify", "--suite", suite]
+        yield " ".join(argv), lambda a=argv: _cli(a)
 
 
 def main():
