@@ -35,7 +35,6 @@ from .energy import (
     EnergyValue,
     circle_average,
     circle_average_quadrature,
-    crossed_expectation,
     log_energy,
     predicted_energy,
     sphere_kernel,
@@ -55,7 +54,7 @@ from .ensembles import (
 )
 from .geometry import haar_rotations, inverse_stereographic, so3_dist_sq
 from .harness import EstimateReport, ExperimentConfig, run_experiment
-from .quadrature import QuadratureError, QuadratureRule, integrate, integrate_improper
+from .quadrature import QuadratureError, integrate, integrate_improper
 from .streams import keyed_stream
 
 __version__ = "0.1.0"

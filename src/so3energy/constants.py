@@ -13,7 +13,7 @@ import numpy as np
 
 from .energy import fibered_energy, predicted_energy, sphere_kernel
 from .quadrature import integrate, integrate_improper
-from .specfun import jacobi_p, gegenbauer, log_gamma
+from .specfun import jacobi_p, gegenbauer
 
 _EULER = 0.57721566490153286
 
@@ -179,7 +179,7 @@ def expected_kernel_energy(kind, r):
     if kind == "uniform":
         return r * (r - 1) / 2.0
     if kind == "spherical":
-        return r * r / 2.0 - math.sqrt(math.pi) / 2.0 * r * math.exp(log_gamma(r) - log_gamma(r + 0.5)) + 0.5
+        return r * r / 2.0 - math.sqrt(math.pi) / 2.0 * r * math.exp(math.lgamma(r) - math.lgamma(r + 0.5)) + 0.5
     if kind == "zeros":
         return _zeros_kernel_integral(int(r))
     if kind == "harmonic":

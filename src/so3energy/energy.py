@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import _unit_points
+from .geometry import _unit_points, rotation_mask
 from .quadrature import integrate
 
 _TILE = 64
@@ -66,13 +66,11 @@ def _upper_flat(m):
     return flat
 
 
-def _upper_tiles(d):
-    """The strict upper triangle of the trailing (n, n) axes of d, as (b, k)
-    tiles of at most 64x64 entries, in a fixed order: each tile row starts
-    with its diagonal tile. d is a (b, n, n) array or a _RowDistances, which
-    forms each 64-row band only when the iteration reaches it."""
-    b, n, _ = d.shape
-    band = d.band if isinstance(d, _RowDistances) else (lambda a0, a1: d[:, a0:a1, a0:])
+def _upper_tiles(band, b, n):
+    """The strict upper triangle of a (b, n, n) batch, as (b, k) tiles of at
+    most 64x64 entries, in a fixed order: each tile row starts with its
+    diagonal tile. band(a0, a1) gives rows a0..a1-1 against columns a0..n-1,
+    shape (b, a1 - a0, n - a0), formed only when the iteration reaches it."""
     for a0 in range(0, n, _TILE):
         a1 = min(a0 + _TILE, n)
         m = a1 - a0
@@ -83,8 +81,9 @@ def _upper_tiles(d):
             yield strip[:, :, c0 : c0 + _TILE].reshape(b, -1)
 
 
-def _upper_tile_sums(d, f):
-    """Sum of f over the strict upper triangle of each (n, n) slice of d.
+def _upper_tile_sums(band, b, n, f):
+    """Sum of f over the strict upper triangle of each (n, n) slice of the
+    (b, n, n) batch whose bands band(a0, a1) gives (see _upper_tiles).
 
     Returns (sums, mins) with shape (b,), mins being the smallest entry
     visited. Tile partials are combined with fsum per batch row, so the
@@ -93,12 +92,11 @@ def _upper_tile_sums(d, f):
     With one tile (n <= 64) the fsum of a row is its partial, save that
     fsum turns -0.0 into 0.0, as adding 0.0 does.
     """
-    b, n, _ = d.shape
     if n < 2:
         return np.zeros(b), np.full(b, np.inf)
     partials = []
     mins = np.full(b, np.inf)
-    for vals in _upper_tiles(d):
+    for vals in _upper_tiles(band, b, n):
         if vals.shape[1]:
             mins = np.minimum(mins, vals.min(axis=1))
             partials.append(f(vals).sum(axis=1))
@@ -108,68 +106,52 @@ def _upper_tile_sums(d, f):
     return np.array(list(map(math.fsum, stacked.tolist()))), mins
 
 
-class _RowDistances:
-    """The (b, n, n) squared distances 6 - 2 <O_i, O_j> of a (b, n, 9) batch of
-    rotations flattened row-major, formed one band of rows at a time as the
-    pair reducer reads them: no n x n array is ever built."""
+def pair_log_sums(rows):
+    """Sums over unordered pairs of log squared distance, batched, and the
+    smallest pair squared distances, each of shape (b,).
 
-    def __init__(self, rows):
-        self.rows = rows
-        b, n, _ = rows.shape
-        self.shape = (b, n, n)
+    rows is a (b, n, 9) batch of n rotations flattened row-major. The squared
+    distances 6 - 2 <O_i, O_j> are formed one 64-row band at a time as the
+    tiled reducer reads them, so the largest array is (b, 64, n) and no
+    n x n array is ever built.
+    """
+    b, n, _ = rows.shape
 
-    def band(self, a0, a1):
-        """Rows a0..a1-1 against columns a0..n-1, shape (b, a1 - a0, n - a0)."""
-        d = self.rows[:, a0:a1] @ self.rows[:, a0:].transpose(0, 2, 1)
+    def band(a0, a1):
+        d = rows[:, a0:a1] @ rows[:, a0:].transpose(0, 2, 1)
         d *= -2.0
         d += 6.0
         return d
 
-
-def pair_log_sums(dist_sq):
-    """Tiled sum over unordered pairs of log(dist_sq), batched.
-
-    dist_sq is a (b, n, n) array or a _RowDistances; returns
-    (sums, min_offdiag) with shape (b,).
-    """
-    if not isinstance(dist_sq, _RowDistances):
-        dist_sq = np.asarray(dist_sq, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _upper_tile_sums(dist_sq, np.log)
-
-
-def _rows_energies(rows):
-    """Energies and smallest pair squared distances of a (b, n, 9) batch.
-
-    Each batch row holds n rotations flattened row-major. The squared
-    distances are formed band by band (_RowDistances), so the largest array
-    is (b, 64, n) and any n that fits its rows can be summed.
-    """
-    sums, mins = pair_log_sums(_RowDistances(rows))
-    return -sums, mins
+        return _upper_tile_sums(band, b, n, np.log)
 
 
 def log_energy(config):
-    """Logarithmic energy of a configuration (or a raw (n, 3, 3) array).
+    """Logarithmic energy of a configuration or an (n, 3, 3) stack of rotations.
 
     Returns EnergyValue; a pair closer than the coincidence tolerance sets
     the infinite flag instead of producing a silent -inf. Raises ValueError
-    for an empty stack or a non-finite entry.
+    for another shape, an empty stack, and a matrix with a non-finite entry
+    or that is not a rotation within 1e-10 (geometry.rotation_mask).
     """
-    mats = getattr(config, "matrices", config)
-    mats = np.asarray(mats, dtype=float)
+    mats = np.asarray(getattr(config, "matrices", config), dtype=float)
+    if mats.ndim != 3 or mats.shape[1:] != (3, 3):
+        raise ValueError(f"need an (n, 3, 3) stack of rotations, got shape {mats.shape}")
     n = len(mats)
     if n < 1:
         raise ValueError("configuration must contain at least one rotation")
-    if not np.isfinite(mats).all():
-        i = np.flatnonzero(~np.isfinite(mats.reshape(n, -1)).all(axis=1))[0]
-        raise ValueError(f"matrix {i} has a non-finite entry")
+    bad = np.flatnonzero(~rotation_mask(mats))
+    if bad.size:
+        i = bad[0]
+        what = "is not a rotation" if np.isfinite(mats[i]).all() else "has a non-finite entry"
+        raise ValueError(f"matrix {i} {what}")
     if n == 1:
         return EnergyValue(0.0)
-    energies, mins = _rows_energies(mats.reshape(1, n, 9))
+    sums, mins = pair_log_sums(mats.reshape(1, n, 9))
     if mins[0] < COINCIDENCE_TOL:
         return EnergyValue(math.inf, is_infinite=True)
-    return EnergyValue(float(energies[0]))
+    return EnergyValue(float(-sums[0]))
 
 
 def sphere_kernel(t):
@@ -183,10 +165,11 @@ def sphere_kernel(t):
 
 
 def sphere_kernel_energy(points):
-    """Sum of sphere_kernel over ordered pairs of distinct indices."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    g = np.clip(pts @ pts.T, -1.0, 1.0)
-    sums, _ = _upper_tile_sums(g[None], sphere_kernel)
+    """Sum of sphere_kernel over ordered pairs of distinct indices. The points
+    must be finite unit vectors (norm within 1e-10 of 1)."""
+    pts = _unit_points(points)
+    g = np.clip(pts @ pts.T, -1.0, 1.0)[None]
+    sums, _ = _upper_tile_sums(lambda a0, a1: g[:, a0:a1, a0:], 1, len(pts), sphere_kernel)
     return 2.0 * float(sums[0])
 
 
@@ -202,13 +185,13 @@ def fibered_energy(r, s, kernel_energy):
 
 def predicted_energy(points, s):
     """Expected energy over the phases of s-fibers on fixed base points:
-    fibered_energy of their sphere_kernel_energy. The points must be finite
-    unit vectors (norm within 1e-10 of 1)."""
-    pts = _unit_points(points)
-    r = len(pts)
+    fibered_energy of their sphere_kernel_energy, which checks the points."""
+    kernel = sphere_kernel_energy(points)
+    # r rows of 3 once the check has passed, a single (3,) point included
+    r = np.size(points) // 3
     if r < 1 or s < 1:
         raise ValueError("need r >= 1 and s >= 1")
-    return fibered_energy(r, s, sphere_kernel_energy(pts))
+    return fibered_energy(r, s, kernel)
 
 
 def _fluctuation_logs(slog_x, s_theta):
@@ -306,16 +289,3 @@ def circle_average_quadrature(h, alpha, beta, tol=1e-10):
         return np.log(alpha + beta * (a_c * np.cos(phi) + a_s * np.sin(phi) + h33))
 
     return integrate(f, 0.0, 2.0 * math.pi, tol=tol) / (2.0 * math.pi)
-
-
-def crossed_expectation(p, q, s):
-    """Expected crossed pair sum between two fibers of count s.
-
-    Equals s^2 log(sqrt 2 + sqrt(1 - <p, q>)), i.e.
-    s^2 ((1/2) log 2 + sphere_kernel(<p, q>)).
-    """
-    if s < 1:
-        raise ValueError(f"fiber count must be >= 1, got {s}")
-    t = float(np.dot(np.asarray(p, dtype=float), np.asarray(q, dtype=float)))
-    t = min(1.0, max(-1.0, t))
-    return s * s * math.log(_SQRT2 + math.sqrt(1.0 - t))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .constants import _energy_prediction
 from .construct import fiber_matrices
-from .energy import COINCIDENCE_TOL, _rows_energies, fiber_pair_energies
+from .energy import COINCIDENCE_TOL, fiber_pair_energies, pair_log_sums
 from .ensembles import EnsembleSpec, sample_points
 from .geometry import base_frames
 from .streams import DOMAIN_POINTS, DOMAIN_TRIAL, keyed_stream, keyed_uniforms
@@ -104,16 +104,19 @@ def _chunk_energies(args):
     kind, r, s, master_seed, lo, hi, frames = args
     if frames is not None:
         phases = keyed_uniforms(master_seed, DOMAIN_TRIAL, np.arange(lo, hi), r, _TWO_PI)
-        return _rows_energies(fiber_matrices(frames, phases, s))
-    hs = np.empty((hi - lo, r, 3, 3))
-    phases = np.empty((hi - lo, r))
-    for i, t in enumerate(range(lo, hi)):
-        rng = keyed_stream(master_seed, DOMAIN_TRIAL, t)
-        hs[i] = base_frames(sample_points(kind, r, rng))
-        phases[i] = rng.uniform(0.0, _TWO_PI, r)
-    if s >= 3:
-        return fiber_pair_energies(hs, phases, s)
-    return _rows_energies(fiber_matrices(hs, phases, s))
+        rows = fiber_matrices(frames, phases, s)
+    else:
+        hs = np.empty((hi - lo, r, 3, 3))
+        phases = np.empty((hi - lo, r))
+        for i, t in enumerate(range(lo, hi)):
+            rng = keyed_stream(master_seed, DOMAIN_TRIAL, t)
+            hs[i] = base_frames(sample_points(kind, r, rng))
+            phases[i] = rng.uniform(0.0, _TWO_PI, r)
+        if s >= 3:
+            return fiber_pair_energies(hs, phases, s)
+        rows = fiber_matrices(hs, phases, s)
+    sums, mins = pair_log_sums(rows)
+    return -sums, mins
 
 
 def resolve_workers(workers=None):

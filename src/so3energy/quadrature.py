@@ -9,7 +9,6 @@ panel processing order is fixed, so results are bit-reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,39 +30,12 @@ class QuadratureError(RuntimeError):
         self.panels = panels
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """A fixed quadrature rule on [a, b].
-
-    Invariant: weights are positive and sum to the interval length, so the
-    rule integrates the constant function exactly.
-    """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    a: float
-    b: float
-    tol: float = 1e-10
-
-    @classmethod
-    def gauss_legendre(cls, order, a, b, tol=1e-10):
-        x, w = np.polynomial.legendre.leggauss(order)
-        mid, half = (a + b) / 2.0, (b - a) / 2.0
-        return cls(nodes=mid + half * x, weights=half * w, a=float(a), b=float(b), tol=tol)
-
-    def apply(self, f):
-        return float(np.dot(self.weights, _eval(f, self.nodes)))
-
-
 def _eval(f, x):
-    """Evaluate f on an array of nodes, tolerating scalar-only callables."""
-    try:
-        y = np.asarray(f(x), dtype=float)
-        if y.shape != x.shape:
-            raise TypeError
-        return y
-    except (TypeError, ValueError):
-        return np.array([float(f(t)) for t in x], dtype=float)
+    """f at an array of nodes; f must return an array of their shape."""
+    y = np.asarray(f(x), dtype=float)
+    if y.shape != x.shape:
+        raise ValueError(f"integrand gave shape {y.shape} for nodes of shape {x.shape}")
+    return y
 
 
 def _panel_estimates(f, a, b):
@@ -76,8 +48,8 @@ def _panel_estimates(f, a, b):
 def integrate(f, a, b, tol=1e-10, max_panels=20000):
     """Integrate f over [a, b] to roughly `tol` absolute accuracy.
 
-    f should accept a numpy array of abscissae; scalar-only callables work
-    but are slower. Integrable endpoint singularities (log, fractional
+    f takes a numpy array of abscissae and returns an array of the same
+    shape; ValueError otherwise. Integrable endpoint singularities (log, fractional
     powers) are handled by bisection: a panel's error budget scales with
     sqrt(width) once panels get small, so refinement chains terminate.
 

@@ -1,4 +1,4 @@
-"""Special functions: Gamma/digamma, Bessel J, Jacobi and Gegenbauer
+"""Special functions: digamma, Bessel J of order 3/2, Jacobi and Gegenbauer
 polynomials, the surrogate kernel's Fourier coefficients and derivatives,
 and oscillatory Bessel moment integrals.
 
@@ -9,7 +9,6 @@ are enforced by the test suite against independent references.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,14 +17,7 @@ from .quadrature import integrate
 _SQRT2 = math.sqrt(2.0)
 
 
-# --- Gamma family -----------------------------------------------------------
-
-
-def log_gamma(x):
-    """log Gamma(x) for x > 0 (relative error well under 1e-12)."""
-    if x <= 0.0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
+# --- digamma ----------------------------------------------------------------
 
 
 def digamma(x):
@@ -51,7 +43,10 @@ def digamma(x):
 # --- Bessel J ---------------------------------------------------------------
 
 
-def _j32(x):
+def bessel_j(x):
+    """J_{3/2}(x) for x >= 0, absolute error <= 1e-12 on [0, 100]."""
+    if x < 0.0:
+        raise ValueError(f"bessel_j requires x >= 0, got {x}")
     # sqrt(2/(pi x)) (sin x / x - cos x); series for the parenthesis when x
     # is tiny, where the two terms cancel to O(x^2)
     if x == 0.0:
@@ -62,60 +57,6 @@ def _j32(x):
     else:
         core = math.sin(x) / x - math.cos(x)
     return math.sqrt(2.0 / (math.pi * x)) * core
-
-
-def _j01_series(x):
-    q = x * x / 4.0
-    t0, t1 = 1.0, 0.5
-    s0, s1 = 1.0, 0.5
-    for k in range(1, 40):
-        t0 *= -q / (k * k)
-        t1 *= -q / (k * (k + 1))
-        s0 += t0
-        s1 += t1
-        if abs(t0) < 1e-18 and abs(t1) < 1e-18:
-            break
-    return s0, x * s1
-
-
-def _j01_miller(x):
-    # downward recurrence normalized by J0 + 2 sum J_{2k} = 1
-    m = int(2 * math.ceil((1.4 * x + 60.0) / 2.0))
-    jkp1, jk = 0.0, 1e-30
-    j0 = j1 = 0.0
-    even_sum = 0.0
-    for k in range(m - 1, 0, -1):
-        jkm1 = (2.0 * k / x) * jk - jkp1
-        jkp1, jk = jk, jkm1
-        idx = k - 1
-        if idx >= 2 and idx % 2 == 0:
-            even_sum += jkm1
-        elif idx == 1:
-            j1 = jkm1
-        elif idx == 0:
-            j0 = jkm1
-        if abs(jk) > 1e250:
-            jk *= 1e-250
-            jkp1 *= 1e-250
-            even_sum *= 1e-250
-            j1 *= 1e-250
-    norm = j0 + 2.0 * even_sum
-    return j0 / norm, j1 / norm
-
-
-def bessel_j(nu, x):
-    """J_nu(x) for nu in {0, 1, 3/2} and x >= 0, absolute error <= 1e-12 on [0, 100]."""
-    if x < 0.0:
-        raise ValueError(f"bessel_j requires x >= 0, got {x}")
-    if nu == 1.5:
-        return _j32(x)
-    if nu == 0 or nu == 1:
-        if x < 5.0:
-            pair = _j01_series(x)
-        else:
-            pair = _j01_miller(x)
-        return pair[int(nu)]
-    raise ValueError(f"unsupported order nu={nu} (expected 0, 1 or 3/2)")
 
 
 # --- Jacobi / Gegenbauer ----------------------------------------------------
@@ -158,9 +99,12 @@ def gegenbauer(n, lam, x):
 
 
 def gegenbauer_via_jacobi(n, lam, x):
-    """Cross-check route: Gegenbauer from the Jacobi family with a Gamma ratio."""
+    """Cross-check route: Gegenbauer from the Jacobi family with a Gamma
+    ratio, for lam > 0."""
+    if lam <= 0.0:
+        raise ValueError(f"gegenbauer_via_jacobi requires lam > 0, got {lam}")
     pref = math.exp(
-        log_gamma(n + 2.0 * lam) + log_gamma(lam + 0.5) - log_gamma(n + lam + 0.5) - log_gamma(2.0 * lam)
+        math.lgamma(n + 2.0 * lam) + math.lgamma(lam + 0.5) - math.lgamma(n + lam + 0.5) - math.lgamma(2.0 * lam)
     )
     return pref * jacobi_p(n, lam - 0.5, lam - 0.5, x)
 
@@ -168,28 +112,19 @@ def gegenbauer_via_jacobi(n, lam, x):
 # --- surrogate kernel: Fourier coefficients and derivatives -----------------
 
 
-@dataclass(frozen=True)
-class GegenbauerCoefficient:
-    n: int
-    value: float
-
-
-def kernel_gegenbauer_coeff(n, d=2, tol=1e-11):
+def kernel_gegenbauer_coeff(n, *, tol=1e-11):
     """Coefficient of index n in the Legendre expansion of
-    f(t) = -log(1 + sqrt((1-t)/2)) for the sphere (d = 2), weight 1/2.
+    f(t) = -log(1 + sqrt((1-t)/2)) on the two-sphere, weight 1/2.
 
     f_hat(n) = (2n+1)/2 * int_{-1}^{1} f(t) P_n(t) dt.
     """
-    if d != 2:
-        raise ValueError("only the two-sphere (d=2) is supported")
     if n < 0:
         raise ValueError("index must be >= 0")
 
     def f(t):
         return -np.log1p(np.sqrt((1.0 - t) / 2.0)) * jacobi_p(n, 0.0, 0.0, t)
 
-    val = (2.0 * n + 1.0) / 2.0 * integrate(f, -1.0, 1.0, tol=tol)
-    return GegenbauerCoefficient(n=int(n), value=val)
+    return (2.0 * n + 1.0) / 2.0 * integrate(f, -1.0, 1.0, tol=tol)
 
 
 # integer partitions of n (as part multisets) for the chain-rule sum, n <= 6
@@ -256,13 +191,16 @@ def kernel_derivative(n, t):
 
 # --- oscillatory Bessel moments ---------------------------------------------
 #
-# int_0^inf w(t) J_nu(t)^2 dt with w = t^{-s-1} or w = log(t)/t. The finite
-# part [0, T] is integrated over panels aligned with the oscillation; the
-# tail uses the large-argument form of J_nu^2,
-#   J_nu(t)^2 = (1/(pi t)) [A(t) + B(t) cos 2t + D(t) sin 2t],
-# exact elementary for nu = 3/2 and a truncated large-t expansion for
-# nu in {0, 1}, reduced to integrals of t^{-m} {1, cos 2t, sin 2t} {1, log t}
-# with stable integration-by-parts recurrences.
+# int_0^inf w(t) J_{3/2}(t)^2 dt with w = t^{-s-1} or w = log(t)/t. The
+# finite part [0, T] is integrated over panels aligned with the oscillation;
+# the tail uses the exact elementary form
+#   J_{3/2}(t)^2 = (1/(pi t)) [A(t) + B(t) cos 2t + D(t) sin 2t],
+# A = 1 + t^-2, B = 1 - t^-2, D = -2 t^-1, reduced to integrals of
+# t^{-m} {1, cos 2t, sin 2t} {1, log t} with stable integration-by-parts
+# recurrences.
+
+# A, B and D as tables from a power of 1/t to its coefficient
+_TAIL_A, _TAIL_B, _TAIL_D = {0: 1.0, 2: 1.0}, {0: 1.0, 2: -1.0}, {1: -2.0}
 
 
 def _tail_primitives(T, m, want_log=False, depth=20):
@@ -296,105 +234,64 @@ def _power_tail(T, m, want_log=False):
     return p, T ** (1.0 - m) * (math.log(T) / (m - 1.0) + 1.0 / (m - 1.0) ** 2)
 
 
-def _hankel_sq_coeffs(nu, jmax=7):
-    """Coefficient tables A, B, D (power -> coefficient) of the J_nu^2 form."""
-    if nu == 1.5:
-        return {0: 1.0, 2: 1.0}, {0: 1.0, 2: -1.0}, {1: -2.0}
-    mu = 4.0 * nu * nu
-    a = [1.0]
-    for k in range(1, jmax + 1):
-        a.append(a[-1] * (mu - (2 * k - 1) ** 2) / (8.0 * k))
-    p = {2 * k: (-1.0) ** k * a[2 * k] for k in range(0, jmax // 2 + 1) if 2 * k <= jmax}
-    q = {2 * k + 1: (-1.0) ** k * a[2 * k + 1] for k in range(0, (jmax + 1) // 2) if 2 * k + 1 <= jmax}
-
-    def conv(u, v, sign=1.0):
-        out = {}
-        for i, ci in u.items():
-            for j, cj in v.items():
-                if i + j <= jmax:
-                    out[i + j] = out.get(i + j, 0.0) + sign * ci * cj
-        return out
-
-    def add(u, v):
-        out = dict(u)
-        for j, cj in v.items():
-            out[j] = out.get(j, 0.0) + cj
-        return out
-
-    pp, qq, pq = conv(p, p), conv(q, q), conv(p, q)
-    a_tab = add(pp, qq)
-    diff = add(pp, conv(q, q, sign=-1.0))
-    if nu == 0:
-        return a_tab, {j: 2.0 * c for j, c in pq.items()}, diff
-    if nu == 1:
-        return a_tab, {j: -2.0 * c for j, c in pq.items()}, {j: -c for j, c in diff.items()}
-    raise ValueError(f"unsupported order nu={nu}")
-
-
-def _moment_tail(T, s_exp, nu, log_weight):
-    a_tab, b_tab, d_tab = _hankel_sq_coeffs(nu)
+def _moment_tail(T, s_exp, log_weight):
     total = 0.0
     if not log_weight:
-        for j, coeff in a_tab.items():
+        for j, coeff in _TAIL_A.items():
             total += coeff * _power_tail(T, s_exp + 2.0 + j)
-        for j, coeff in b_tab.items():
+        for j, coeff in _TAIL_B.items():
             total += coeff * _tail_primitives(T, s_exp + 2.0 + j)[0]
-        for j, coeff in d_tab.items():
+        for j, coeff in _TAIL_D.items():
             total += coeff * _tail_primitives(T, s_exp + 2.0 + j)[1]
     else:
-        for j, coeff in a_tab.items():
+        for j, coeff in _TAIL_A.items():
             total += coeff * _power_tail(T, 2.0 + j, want_log=True)[1]
-        for j, coeff in b_tab.items():
+        for j, coeff in _TAIL_B.items():
             total += coeff * _tail_primitives(T, 2.0 + j, want_log=True)[2]
-        for j, coeff in d_tab.items():
+        for j, coeff in _TAIL_D.items():
             total += coeff * _tail_primitives(T, 2.0 + j, want_log=True)[3]
     return total / math.pi
 
 
-def _moment_quadrature(weight, nu, s_exp, tol, log_weight):
-    # T sits on an oscillation boundary; the exact elementary tail for
-    # nu = 3/2 allows a shorter finite part
-    n_zero = 14 if nu == 1.5 else 27
-    zeros = [(k + nu / 2.0 + 0.25) * math.pi for k in range(n_zero)]
+def _moment_quadrature(weight, s_exp, tol, log_weight):
+    # T = 14 pi sits on an oscillation boundary; the exact tail allows a
+    # short finite part
+    zeros = [(k + 1.0) * math.pi for k in range(14)]
     T = zeros[-1]
     edges = [0.0] + zeros
     panel_tol = max(tol / (4.0 * len(edges)), 1e-12)
 
     def f(t):
         t = np.asarray(t, dtype=float)
-        jv = np.array([bessel_j(nu, x) for x in np.atleast_1d(t)])
+        jv = np.array([bessel_j(x) for x in np.atleast_1d(t)])
         return weight(t) * jv * jv
 
     finite = math.fsum(integrate(f, edges[k], edges[k + 1], tol=panel_tol) for k in range(len(edges) - 1))
-    return finite + _moment_tail(T, s_exp, nu, log_weight)
+    return finite + _moment_tail(T, s_exp, log_weight)
 
 
-def bessel_moment(s_exp, nu, tol=1e-10):
-    """Quadrature value of int_0^inf t^{-s-1} J_nu(t)^2 dt.
+def bessel_moment(s_exp, *, tol=1e-10):
+    """Quadrature value of int_0^inf t^{-s-1} J_{3/2}(t)^2 dt.
 
-    Convergence needs -1 < s_exp < 2 nu. Compare with
-    bessel_moment_closed_form for the Gamma-ratio identity.
+    Convergence needs -1 < s_exp < 3. Compare with
+    bessel_moment_closed_form(s_exp, 1.5) for the Gamma-ratio identity.
     """
-    if nu not in (0, 1, 1.5):
-        raise ValueError(f"unsupported order nu={nu}")
-    if not (-1.0 < s_exp < 2.0 * nu):
-        raise ValueError(f"moment diverges: need -1 < s < 2 nu, got s={s_exp}, nu={nu}")
+    if not (-1.0 < s_exp < 3.0):
+        raise ValueError(f"moment diverges: need -1 < s < 3, got s={s_exp}")
 
     def weight(t):
         return np.power(t, -s_exp - 1.0, where=t > 0, out=np.zeros_like(t))
 
-    return _moment_quadrature(weight, nu, s_exp, tol, log_weight=False)
+    return _moment_quadrature(weight, s_exp, tol, log_weight=False)
 
 
-def bessel_log_moment(nu, tol=1e-10):
-    """Quadrature value of int_0^inf log(t)/t * J_nu(t)^2 dt (needs nu > 0)."""
-    if nu not in (1, 1.5):
-        raise ValueError(f"log moment needs nu in {{1, 3/2}}, got {nu}")
+def bessel_log_moment(*, tol=1e-10):
+    """Quadrature value of int_0^inf log(t)/t * J_{3/2}(t)^2 dt."""
 
     def weight(t):
         return np.where(t > 0, np.log(np.where(t > 0, t, 1.0)) / np.where(t > 0, t, 1.0), 0.0)
 
-    return _moment_quadrature(weight, nu, 0.0, tol, log_weight=True)
+    return _moment_quadrature(weight, 0.0, tol, log_weight=True)
 
 
 def bessel_moment_closed_form(s_exp, nu):
@@ -402,11 +299,11 @@ def bessel_moment_closed_form(s_exp, nu):
     if not (-1.0 < s_exp < 2.0 * nu):
         raise ValueError(f"moment diverges: need -1 < s < 2 nu, got s={s_exp}, nu={nu}")
     return math.exp(
-        log_gamma(s_exp + 1.0)
-        + log_gamma(nu - s_exp / 2.0)
+        math.lgamma(s_exp + 1.0)
+        + math.lgamma(nu - s_exp / 2.0)
         - (s_exp + 1.0) * math.log(2.0)
-        - 2.0 * log_gamma(s_exp / 2.0 + 1.0)
-        - log_gamma(nu + s_exp / 2.0 + 1.0)
+        - 2.0 * math.lgamma(s_exp / 2.0 + 1.0)
+        - math.lgamma(nu + s_exp / 2.0 + 1.0)
     )
 
 

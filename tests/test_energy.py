@@ -17,13 +17,10 @@ from so3energy.energy import (
     COINCIDENCE_TOL,
     EnergyValue,
     _fluctuation_logs,
-    _RowDistances,
-    _rows_energies,
     _upper_tile_sums,
     _upper_tiles,
     circle_average,
     circle_average_quadrature,
-    crossed_expectation,
     fiber_pair_energies,
     log_energy,
     pair_log_sums,
@@ -49,10 +46,10 @@ def brute_force_energy(mats):
 
 def test_pair_log_sums_small_cases():
     rng = np.random.default_rng(41)
-    mats = haar_rotations(rng, 6)
-    gram = np.einsum("aij,bij->ab", mats, mats)
-    d2 = 6.0 - 2.0 * gram
-    sums, mins = pair_log_sums(d2[None])
+    rows = haar_rotations(rng, 6).reshape(1, 6, 9)
+    mats = rows[0].reshape(6, 3, 3)
+    d2 = 6.0 - 2.0 * (rows[0] @ rows[0].T)
+    sums, mins = pair_log_sums(rows)
     assert sums.shape == (1,) and mins.shape == (1,)
     assert -sums[0] == pytest.approx(brute_force_energy(mats), rel=1e-13)
     iu = np.triu_indices(6, 1)
@@ -64,9 +61,7 @@ def test_pair_log_sums_tiling_boundary():
     rng = np.random.default_rng(42)
     for n in [1, 2, 63, 64, 65, 130]:
         mats = haar_rotations(rng, n)
-        gram = np.einsum("aij,bij->ab", mats, mats)
-        d2 = 6.0 - 2.0 * gram
-        sums, mins = pair_log_sums(d2[None])
+        sums, mins = pair_log_sums(mats.reshape(1, n, 9))
         if n == 1:
             assert sums[0] == 0.0 and mins[0] == math.inf
         else:
@@ -78,7 +73,7 @@ def test_pair_log_sums_batched_matches_loop():
     # slice gives the same bits alone and inside a batch (n = 150: three tile rows)
     rng = np.random.default_rng(43)
     for n in (9, 150):
-        batch = np.stack([6.0 - 2.0 * np.einsum("aij,bij->ab", m, m) for m in (haar_rotations(rng, n) for _ in range(5))])
+        batch = haar_rotations(rng, 5 * n).reshape(5, n, 9)
         sums, mins = pair_log_sums(batch)
         for k in range(5):
             sk, mk = pair_log_sums(batch[k : k + 1])
@@ -94,30 +89,60 @@ class _SumFromNegativeZero(np.ndarray):
         return np.add.reduce(self.view(np.ndarray), axis=axis, initial=-0.0)
 
 
-def _fsum_per_row(d, f):
-    """The tile partials of d under f, combined by one math.fsum per batch row."""
-    stacked = np.stack([f(vals).sum(axis=1) for vals in _upper_tiles(d) if vals.shape[1]], axis=1)
+def _fsum_per_row(band, b, n, f):
+    """The tile partials of the bands under f, combined by one math.fsum per batch row."""
+    stacked = np.stack([f(vals).sum(axis=1) for vals in _upper_tiles(band, b, n) if vals.shape[1]], axis=1)
     return np.array([math.fsum(row) for row in stacked]), stacked
 
 
-@pytest.mark.parametrize("n", [2, 30, 64, 65, 200])
-def test_upper_tile_sums_equal_per_row_fsum_bit_for_bit(n):
-    # batch rows 0..2 hold a coincident pair (-inf), a nan entry and, through
-    # f, only -0.0 values; b = 1024, the first 7 rows, and each of them alone
+def _row_bands(rows):
+    # squared distances of (b, n, 9) rotation rows, band by band, as pair_log_sums forms them
+    return lambda a0, a1: 6.0 - 2.0 * (rows[:, a0:a1] @ rows[:, a0:].transpose(0, 2, 1))
+
+
+def _gram_bands(points):
+    # slices of the clipped Gram of (b, n, 3) points, as sphere_kernel_energy reads it
+    g = np.clip(points @ points.transpose(0, 2, 1), -1.0, 1.0)
+    return lambda a0, a1: g[:, a0:a1, a0:]
+
+
+def _band_source(source, n, rng):
+    """(bands, f, data) for 1024 batch rows whose rows 0 and 1 hold a pair
+    with f = -inf (a coincident pair of rotations, an antipodal pair of
+    points) and a nan entry."""
+    if source == "rows":
+        data = haar_rotations(rng, 1024 * n).reshape(1024, n, 9)
+        data[0, 0] = data[0, n - 1] = np.eye(3).reshape(9)
+        data[1, n // 2, 4] = np.nan
+        return _row_bands, np.log, data
+    data = rng.standard_normal((1024, n, 3))
+    data /= np.linalg.norm(data, axis=2, keepdims=True)
+    data[0, 0], data[0, n - 1] = (0.0, 0.0, 1.0), (0.0, 0.0, -1.0)
+    data[1, n // 2, 1] = np.nan
+    return _gram_bands, np.log1p, data
+
+
+@pytest.mark.parametrize(
+    "source, n",
+    [pytest.param("rows", n, id=str(n)) for n in (2, 30, 64, 65, 200)]
+    + [pytest.param("gram", n, id=f"gram-{n}") for n in (2, 30, 64, 65, 200)],
+)
+def test_upper_tile_sums_equal_per_row_fsum_bit_for_bit(source, n):
+    # batch rows 0..2 hold an f = -inf pair, a nan entry and, through f, only
+    # -0.0 values; b = 1024, the first 7 rows, and each of them alone. The
+    # bands are those of pair_log_sums (rows) and sphere_kernel_energy (gram).
     rng = np.random.default_rng(45 + n)
-    rows = haar_rotations(rng, 1024 * n).reshape(1024, n, 9)
-    rows[0, 0] = rows[0, n - 1] = np.eye(3).reshape(9)
-    rows[1, n // 2, 4] = np.nan
+    bands, g, data = _band_source(source, n, rng)
     negative_zero = np.zeros(1024, dtype=bool)
     negative_zero[2] = True
 
     for lo, hi in [(0, 1024), (0, 7)] + [(k, k + 1) for k in range(7)]:
-        d = _RowDistances(rows[lo:hi])
+        band = bands(data[lo:hi])
         nz = negative_zero[lo:hi, None]
-        f = lambda vals: np.where(nz, -0.0, np.log(vals)).view(_SumFromNegativeZero)
+        f = lambda vals: np.where(nz, -0.0, g(vals)).view(_SumFromNegativeZero)
         with np.errstate(divide="ignore", invalid="ignore"):
-            sums, _ = _upper_tile_sums(d, f)
-            want, partials = _fsum_per_row(d, f)
+            sums, _ = _upper_tile_sums(band, hi - lo, n, f)
+            want, partials = _fsum_per_row(band, hi - lo, n, f)
         assert np.array_equal(sums.view(np.uint64), want.view(np.uint64)), (lo, hi)
         if hi - lo > 2:
             assert want[0] == -math.inf and math.isnan(want[1])
@@ -154,6 +179,23 @@ def test_log_energy_rejects_non_finite_matrices(value):
         log_energy(mats)
 
 
+def test_log_energy_refuses_what_is_not_a_stack_of_rotations():
+    # a (4, 9) zero array used to give -10.75, a reflection a finite energy,
+    # and a single matrix numpy's reshape error
+    with pytest.raises(ValueError, match=r"\(n, 3, 3\) stack of rotations, got shape \(4, 9\)"):
+        log_energy(np.zeros((4, 9)))
+    with pytest.raises(ValueError, match=r"got shape \(3, 3\)"):
+        log_energy(np.eye(3))
+    mats = haar_rotations(np.random.default_rng(4), 5)
+    mats[3] = np.diag([1.0, 1.0, -1.0])
+    mats[4, 0, 0] = math.nan
+    with pytest.raises(ValueError, match="matrix 3 is not a rotation"):
+        log_energy(mats)
+    mats[1] *= 1.0 + 1e-9
+    with pytest.raises(ValueError, match="matrix 1 is not a rotation"):
+        log_energy(mats)
+
+
 def test_direct_route_builds_no_n_by_n_array():
     # n = 4000: a (4000, 4000) float Gram would take 122 MiB; the row bands
     # take 2 MiB. The value matches the sum over a full distance array.
@@ -164,18 +206,17 @@ def test_direct_route_builds_no_n_by_n_array():
     rows = np.ascontiguousarray(mats.reshape(1, -1, 9))
     tracemalloc.start()
     try:
-        energies, mins = _rows_energies(rows)
+        sums, mins = pair_log_sums(rows)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
     small = rows[:, :300]
-    d2 = 6.0 - 2.0 * (small @ small.transpose(0, 2, 1))
-    sums, full_mins = pair_log_sums(d2)
-    banded, banded_mins = _rows_energies(small)
-    assert banded[0] == pytest.approx(-sums[0], rel=1e-13)
-    assert banded_mins[0] == pytest.approx(full_mins[0], rel=1e-12)
-    assert np.isfinite(energies[0]) and mins[0] > 0.0
+    d2 = (6.0 - 2.0 * (small @ small.transpose(0, 2, 1)))[0][np.triu_indices(300, 1)]
+    banded, banded_mins = pair_log_sums(small)
+    assert banded[0] == pytest.approx(math.fsum(np.log(d2)), rel=1e-13)
+    assert banded_mins[0] == pytest.approx(d2.min(), rel=1e-12)
+    assert np.isfinite(sums[0]) and mins[0] > 0.0
 
 
 def test_coincidence_tolerance_is_tiny():
@@ -213,6 +254,16 @@ def test_sphere_kernel_energy_matches_brute_force():
             if i != j:
                 brute += sphere_kernel(float(pts[i] @ pts[j]))
     assert sphere_kernel_energy(pts) == pytest.approx(brute, rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [[0.0, 0.0, 2.0], [math.nan, 0.0, 0.0]])
+def test_sphere_kernel_energy_rejects_non_unit_points(bad):
+    # points scaled by 2 used to give the unit points' value, a NaN point nan
+    pts = [[1.0, 0.0, 0.0], bad]
+    with pytest.raises(ValueError, match="point 1 is"):
+        sphere_kernel_energy(pts)
+    with pytest.raises(ValueError, match="point 0 is"):
+        sphere_kernel_energy(2.0 * np.eye(3))
 
 
 def test_predicted_energy_explicit_small_case():
@@ -266,23 +317,11 @@ def test_circle_average_requires_margin():
         circle_average(0.0, 3.0, -2.0)
 
 
-def test_crossed_expectation_matches_monte_carlo_structure():
-    # the phase-averaged cross term between two fibers is s^2 times the
-    # log of (sqrt 2 + sqrt(1 - p.q)); check the scaling in s explicitly
-    p = unit_vector([1.0, 2.0, -1.0])
-    q = unit_vector([-0.3, 0.7, 0.2])
-    base = crossed_expectation(p, q, 1)
-    for s in [2, 3, 7]:
-        assert crossed_expectation(p, q, s) == pytest.approx(s * s * base, rel=1e-14)
-    t = float(p @ q)
-    assert base == pytest.approx(math.log(math.sqrt(2.0) + math.sqrt(1.0 - t)), rel=1e-14)
-    # the cross term splits into the kernel plus half a log 2 per ordered pair
-    assert base == pytest.approx(sphere_kernel(t) + 0.5 * _LOG2, rel=1e-14)
-
-
 def test_crossed_expectation_by_direct_phase_average():
-    # average exp of the cross sum over a fine phase grid converges to the
-    # closed form; fibers over distinct points, s = 2
+    # the phase average of the cross sum over a fine grid converges to the
+    # predicted energy of the two base points less the two within-fiber
+    # energies: the energy is minus twice the cross sum plus those terms.
+    # Fibers over distinct points, s = 2.
     p = np.array([0.0, 0.0, 1.0])
     q = unit_vector([1.0, 0.0, 1.0])
     s = 2
@@ -298,7 +337,12 @@ def test_crossed_expectation_by_direct_phase_average():
         totals.append(cross)
     # uniform phase average over one phase suffices: the difference of
     # phases is what matters, so averaging one of them is exact
-    assert np.mean(totals) == pytest.approx(crossed_expectation(p, q, s), rel=1e-10)
+    expected = -(predicted_energy([p, q], s) + 2.0 * fiber_energy_closed_form(s)) / 2.0
+    assert np.mean(totals) == pytest.approx(expected, rel=1e-10)
+    # that is s^2 log(sqrt 2 + sqrt(1 - <p, q>)) = s^2 (log 2 / 2 + sphere_kernel(<p, q>))
+    t = float(p @ q)
+    assert expected == pytest.approx(s * s * math.log(math.sqrt(2.0) + math.sqrt(1.0 - t)), rel=1e-13)
+    assert expected == pytest.approx(s * s * (0.5 * _LOG2 + sphere_kernel(t)), rel=1e-13)
 
 
 # --- fiber-pair identity --------------------------------------------------------
@@ -310,8 +354,8 @@ def _fiber_route(frames, phases, s):
 
 
 def _both_routes(frames, phases, s):
-    direct, dmin = _rows_energies(fiber_matrices(frames, phases, s)[None])
-    return _fiber_route(frames, phases, s), (float(direct[0]), float(dmin[0]))
+    sums, dmin = pair_log_sums(fiber_matrices(frames, phases, s)[None])
+    return _fiber_route(frames, phases, s), (float(-sums[0]), float(dmin[0]))
 
 
 def _grid_points(rng):

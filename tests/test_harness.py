@@ -367,9 +367,9 @@ def test_fixed_point_chunks_equal_per_trial_route():
     # uniform r = 10, s = 3 (n = 30): 4,100 trials are a 4,096-trial chunk and
     # a 4-trial one. Each batched chunk (keyed_uniforms phases, one
     # fiber_matrices broadcast) must give the bits of the per-trial route:
-    # a Generator per trial, fiber_matrices of its rows, _rows_energies.
+    # a Generator per trial, fiber_matrices of its rows, pair_log_sums.
     from so3energy.construct import fiber_matrices
-    from so3energy.energy import _rows_energies
+    from so3energy.energy import pair_log_sums
     from so3energy.ensembles import sample_points
     from so3energy.geometry import base_frames
 
@@ -382,7 +382,8 @@ def test_fixed_point_chunks_equal_per_trial_route():
         energies, mins = _chunk_energies((kind, r, s, seed, lo, hi, frames))
         phases = [keyed_stream(seed, DOMAIN_TRIAL, t).uniform(0.0, 2.0 * math.pi, r) for t in range(lo, hi)]
         rows = np.stack([fiber_matrices(frames, phi, s) for phi in phases])
-        want_energies, want_mins = _rows_energies(rows)
+        want_sums, want_mins = pair_log_sums(rows)
+        want_energies = -want_sums
         assert np.array_equal(energies.view(np.uint64), want_energies.view(np.uint64))
         assert np.array_equal(mins.view(np.uint64), want_mins.view(np.uint64))
 

@@ -5,13 +5,13 @@ import so3energy
 EXPORTS = {
     '__version__', 'aberth_roots', 'all_constants', 'build_configuration', 'c_harmonic_so3',
     'c_sph', 'c_zeros', 'circle_average', 'circle_average_quadrature', 'Configuration',
-    'constant_J', 'crossed_expectation', 'eap_energy_upper_bound', 'eap_kernel_lower_bound',
+    'constant_J', 'eap_energy_upper_bound', 'eap_kernel_lower_bound',
     'EnergyValue', 'EnsembleSpec', 'equal_area_partition', 'EqualAreaRegion', 'EstimateReport',
     'expected_configuration_energy', 'expected_kernel_energy', 'ExperimentConfig',
     'fiber_energy_closed_form', 'gamma_r', 'gamma_r_bounds_check', 'haar_rotations',
     'integrate', 'integrate_improper', 'inverse_stereographic', 'kappa', 'kappa_quadrature',
     'keyed_stream', 'load_configuration', 'log_energy', 'optimal_s', 'predicted_energy',
-    'QuadratureError', 'QuadratureRule', 'realizable_n', 'RootFindingError', 'run_experiment',
+    'QuadratureError', 'realizable_n', 'RootFindingError', 'run_experiment',
     'sample_elliptic_zeros', 'sample_equal_area', 'sample_points', 'sample_spherical_ensemble',
     'sample_uniform', 'save_configuration', 'so3_dist_sq', 'so3_harmonic_integral',
     'sphere_kernel', 'sphere_kernel_energy', 'zeros_J_sequence',

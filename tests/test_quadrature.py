@@ -3,20 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from so3energy.quadrature import QuadratureError, QuadratureRule, integrate, integrate_improper
-
-
-def test_fixed_rule_weights_sum_to_length():
-    for order in (4, 16, 32):
-        rule = QuadratureRule.gauss_legendre(order, -2.0, 5.0)
-        assert abs(rule.weights.sum() - 7.0) < 1e-12
-        assert np.all(rule.weights > 0)
-
-
-def test_fixed_rule_integrates_polynomials_exactly():
-    rule = QuadratureRule.gauss_legendre(8, 0.0, 1.0)
-    # degree 15 = 2*8 - 1 is the exactness limit
-    assert abs(rule.apply(lambda x: x**15) - 1.0 / 16.0) < 1e-14
+from so3energy.quadrature import QuadratureError, integrate, integrate_improper
 
 
 def test_polynomial_and_smooth_integrands():
@@ -37,8 +24,13 @@ def test_endpoint_log_singularity():
     assert abs(val - 2.0) < 1e-9
 
 
-def test_scalar_only_callable_falls_back():
-    assert abs(integrate(lambda x: math.exp(x), 0.0, 1.0) - (math.e - 1.0)) < 1e-12
+def test_integrand_must_return_its_nodes_shape():
+    # an integrand evaluates all nodes of a panel at once; a scalar-only
+    # callable fails on the array, and an output of another shape is refused
+    with pytest.raises(TypeError):
+        integrate(lambda x: math.exp(x), 0.0, 1.0)
+    with pytest.raises(ValueError, match=r"integrand gave shape \(\) for nodes of shape \(16,\)"):
+        integrate(lambda x: 1.0, 0.0, 1.0)
 
 
 def test_tolerance_floor_rejected():
