@@ -11,10 +11,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .geometry import _unit_points, base_frames, rotation_mask
+from .geometry import _unit_points, base_frames, first_non_rotation
 from .streams import DOMAIN_FIBER, keyed_uniforms
 
 FORMAT_VERSION = "1"
@@ -39,6 +40,14 @@ class Configuration:
     @property
     def n(self):
         return len(self.matrices)
+
+    @cached_property
+    def first_non_rotation(self):
+        """geometry.first_non_rotation of the matrices, found once per
+        configuration: load_configuration and log_energy both read it, so a
+        loaded file's rotations are checked once. Matrices changed in place
+        after the first read are not checked again."""
+        return first_non_rotation(self.matrices)
 
 
 def fiber_matrices(frames, phases, s):
@@ -202,16 +211,17 @@ def load_configuration(path):
             raise ValueError(f"{path}: matrix row {i + 1} of {len(rows)} {what}, expected 9 entries")
     # strings convert as float() reads them, so the CSV values are bit-exact too
     mats = np.array(rows, dtype=float).reshape(-1, 3, 3)
-    bad = np.flatnonzero(~rotation_mask(mats))
-    if bad.size:
-        raise ValueError(
-            f"{path}: matrix row {bad[0] + 1} of {len(mats)} is not a rotation"
-            " (needs finite entries, |M^T M - I| and |det M - 1| within 1e-10)"
-        )
     if meta is None:
         meta = ConfigMeta(ensemble="unknown", r=len(mats), s=1, seed=None)
-    elif meta.r * meta.s != len(mats):
+    config = Configuration(matrices=mats, meta=meta)
+    bad = config.first_non_rotation
+    if bad is not None:
+        raise ValueError(
+            f"{path}: matrix row {bad + 1} of {len(mats)} is not a rotation"
+            " (needs finite entries, |M^T M - I| and |det M - 1| within 1e-10)"
+        )
+    if meta.r * meta.s != len(mats):
         raise ValueError(
             f"{path}: meta r = {meta.r} and s = {meta.s} give {meta.r * meta.s} rotations, the file holds {len(mats)}"
         )
-    return Configuration(matrices=mats, meta=meta)
+    return config

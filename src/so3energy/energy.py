@@ -17,9 +17,9 @@ whole block as
 q = sqrt(1 - t), y = x^s, x = (sqrt 2 - q) / (sqrt 2 + q). The first term is
 the phase average, so the energy is predicted_energy(points, s) minus s times
 the sum of the second, mean-zero term over fiber pairs: a few transcendental
-functions per fiber pair for any s (fiber_pair_energies, which sums each
-trial's pair terms pairwise), against s^2 logs per fiber pair for the direct
-pair sum.
+functions per fiber pair for any s, against s^2 logs per fiber pair for the
+direct pair sum. fiber_pair_energies walks the fiber pairs in the 64-row
+bands of the direct route and combines its band partials with fsum too.
 """
 
 from __future__ import annotations
@@ -30,14 +30,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import _unit_points, rotation_mask
+from .construct import Configuration
+from .geometry import _unit_points, first_non_rotation
 from .quadrature import integrate
 
 _TILE = 64
 # squared-distance threshold under which a pair counts as coincident
 COINCIDENCE_TOL = 1e-14
-# (b, r, r) entries fiber_pair_energies handles at once; every value is
-# computed per trial, so the grouping only keeps its arrays in cache
+# band entries (trials x min(r, 64) x r) fiber_pair_energies handles at once;
+# every value is computed per trial, so the grouping only keeps its arrays in
+# cache
 _FIBER_GROUP = 2**14
 
 _LOG2 = math.log(2.0)
@@ -53,15 +55,16 @@ class EnergyValue:
         return self.value
 
 
-@lru_cache(maxsize=8)
-def _upper_flat(m):
-    """Row-major flat indices of the strict upper triangle of an m x m array.
+@lru_cache(maxsize=32)
+def _upper_flat(m, w):
+    """Row-major flat indices of the entries (i, j), j > i, of an m x w array.
 
-    Cached, read-only: a run asks for the same two tile sizes and one fiber
-    count over and over; the bound keeps a sweep over r from holding every
-    size (4 MB each at r = 1029)."""
-    iu = np.triu_indices(m, 1)
-    flat = iu[0] * m + iu[1]
+    Cached, read-only: a run asks for the same two tile sizes and the
+    ceil(r / 64) band shapes of one fiber count over and over; the bound
+    keeps a sweep over r from holding every shape (0.5 MB each at r = 1029).
+    """
+    iu = np.triu_indices(m, 1, w)
+    flat = iu[0] * w + iu[1]
     flat.setflags(write=False)
     return flat
 
@@ -76,7 +79,7 @@ def _upper_tiles(band, b, n):
         m = a1 - a0
         strip = band(a0, a1)
         # a C-contiguous (b, k) gather, so every row is summed pairwise
-        yield np.take(strip[:, :, :m].reshape(b, m * m), _upper_flat(m), axis=1)
+        yield np.take(strip[:, :, :m].reshape(b, m * m), _upper_flat(m, m), axis=1)
         for c0 in range(m, n - a0, _TILE):
             yield strip[:, :, c0 : c0 + _TILE].reshape(b, -1)
 
@@ -100,10 +103,16 @@ def _upper_tile_sums(band, b, n, f):
         if vals.shape[1]:
             mins = np.minimum(mins, vals.min(axis=1))
             partials.append(f(vals).sum(axis=1))
+    return _fsum_rows(partials), mins
+
+
+def _fsum_rows(partials):
+    """The fsum per batch row of a list of (b,) partials. One partial is
+    returned as it is, save that -0.0 becomes 0.0, as fsum would make it."""
     if len(partials) == 1:
-        return partials[0] + 0.0, mins
+        return partials[0] + 0.0
     stacked = np.stack(partials, axis=1)
-    return np.array(list(map(math.fsum, stacked.tolist()))), mins
+    return np.array(list(map(math.fsum, stacked.tolist())))
 
 
 def pair_log_sums(rows):
@@ -133,7 +142,9 @@ def log_energy(config):
     Returns EnergyValue; a pair closer than the coincidence tolerance sets
     the infinite flag instead of producing a silent -inf. Raises ValueError
     for another shape, an empty stack, and a matrix with a non-finite entry
-    or that is not a rotation within 1e-10 (geometry.rotation_mask).
+    or that is not a rotation within 1e-10 (geometry.rotation_mask). A
+    Configuration is checked once, however often it is asked
+    (Configuration.first_non_rotation).
     """
     mats = np.asarray(getattr(config, "matrices", config), dtype=float)
     if mats.ndim != 3 or mats.shape[1:] != (3, 3):
@@ -141,9 +152,8 @@ def log_energy(config):
     n = len(mats)
     if n < 1:
         raise ValueError("configuration must contain at least one rotation")
-    bad = np.flatnonzero(~rotation_mask(mats))
-    if bad.size:
-        i = bad[0]
+    i = config.first_non_rotation if isinstance(config, Configuration) else first_non_rotation(mats)
+    if i is not None:
         what = "is not a rotation" if np.isfinite(mats[i]).all() else "has a non-finite entry"
         raise ValueError(f"matrix {i} {what}")
     if n == 1:
@@ -212,53 +222,67 @@ def fiber_pair_energies(frames, phases, s):
     and phases (b, r). By the fiber-pair identity (module docstring) an
     energy is the phase average fibered_energy of the base points
     frames[k, :, :, 2] minus s times the fluctuation logs summed over fiber
-    pairs, which come from three (b, r, r) products. A fiber pair's smallest
-    squared distance is a - b cos(dist(theta, 2 pi Z / s)); the returned
-    minima also cover the within-fiber 4 - 4 cos(2 pi / s).
+    pairs. The pairs i < j are visited in the 64-row bands of the direct
+    route: fibers a0..a1-1 against a0..r-1, three (b, 64, r - a0) products
+    per band, so the largest array grows as 64 r, not r^2. Each band's
+    kernel and fluctuation terms are summed pairwise, and a trial's band
+    partials are combined with fsum, as the direct route combines its tile
+    partials; with r <= 64 the one band's pairwise sum is the sum. A fiber
+    pair's smallest squared distance is a - b cos(dist(theta, 2 pi Z / s));
+    the returned minima also cover the within-fiber 4 - 4 cos(2 pi / s).
     """
     frames = np.asarray(frames, dtype=float)
     phases = np.asarray(phases, dtype=float)
     nb, r = phases.shape
-    group = max(1, _FIBER_GROUP // (r * r))
+    group = max(1, _FIBER_GROUP // (min(r, _TILE) * r))
     if nb > group:
         parts = [fiber_pair_energies(frames[k : k + group], phases[k : k + group], s) for k in range(0, nb, group)]
         return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
-    flat = _upper_flat(r)
-
-    def pairs(x):
-        # the entries i < j of a (b, r, r) batch, as C-contiguous (b, r(r - 1)/2) rows
-        return np.take(x.reshape(nb, r * r), flat, axis=1)
-
     pts = frames[..., 2]
     cols = frames[..., :2]
     a = cols.reshape(nb, r, 6)
     b = (cols[..., ::-1] * (1.0, -1.0)).reshape(nb, r, 6)
-    t = np.clip(pairs(pts @ pts.transpose(0, 2, 1)), -1.0, 1.0)
-    # a @ a^T holds m11 + m22 and a @ b^T holds m12 - m21 of H_i^T H_j
-    psi = np.arctan2(pairs(a @ b.transpose(0, 2, 1)), pairs(a @ a.transpose(0, 2, 1)))
-    theta = pairs(phases[:, None, :] - phases[:, :, None]) - psi
-    # theta less its nearest multiple of 2 pi / s: |u| = dist(theta, 2 pi Z / s),
-    # and sin^2(s u / 2) = sin^2(s theta / 2), with small arguments for sin
     step = 2.0 * math.pi / s
-    u = theta - step * np.rint(theta / step)
-    q = np.sqrt(1.0 - t)
-    with np.errstate(divide="ignore"):
-        # s log x with x = (sqrt 2 - q) / (sqrt 2 + q) = 1 - 2q / (sqrt 2 + q)
-        slog_x = s * np.log1p(-2.0 * q / (_SQRT2 + q))
-        fluct = _fluctuation_logs(slog_x, s * u)
-    # each row is contiguous, so numpy sums it pairwise, batch or not
-    kernel = 2.0 * sphere_kernel(t).sum(axis=1)
-    energies = fibered_energy(r, s, kernel) - s * fluct.sum(axis=1)
-    # a - b cos(u) = 4 (1 - t) + 4 (1 + t) sin^2(u / 2), without cancellation.
-    # sin^2 v <= v^2 caps each trial's minimum, so sin is taken only on the
-    # pairs whose 4 (1 - t) lies under that cap.
-    lo = 4.0 * (1.0 - t)
-    cap = (lo + (1.0 + t) * np.square(u)).min(axis=1, initial=np.inf, keepdims=True)
-    near = lo <= cap
-    dmin = np.full_like(lo, np.inf)
-    dmin[near] = lo[near] + 4.0 * (1.0 + t[near]) * np.square(np.sin(0.5 * u[near]))
-    within = 8.0 * math.sin(math.pi / s) ** 2 if s > 1 else math.inf
-    return energies, dmin.min(axis=1, initial=within)
+    kernels, flucts = [], []
+    dmin = np.full(nb, 8.0 * math.sin(math.pi / s) ** 2 if s > 1 else math.inf)
+    for a0 in range(0, r, _TILE):
+        a1 = min(a0 + _TILE, r)
+        flat = _upper_flat(a1 - a0, r - a0)
+
+        def pairs(x):
+            # the band's entries i < j, a contiguous run of the row-major pair
+            # order, as C-contiguous (b, k) rows
+            return np.take(x.reshape(nb, -1), flat, axis=1)
+
+        def band(x, y):
+            return pairs(x[:, a0:a1] @ y[:, a0:].transpose(0, 2, 1))
+
+        t = np.clip(band(pts, pts), -1.0, 1.0)
+        # a @ a^T holds m11 + m22 and a @ b^T holds m12 - m21 of H_i^T H_j
+        psi = np.arctan2(band(a, b), band(a, a))
+        theta = pairs(phases[:, None, a0:] - phases[:, a0:a1, None]) - psi
+        # theta less its nearest multiple of 2 pi / s: |u| = dist(theta, 2 pi Z / s),
+        # and sin^2(s u / 2) = sin^2(s theta / 2), with small arguments for sin
+        u = theta - step * np.rint(theta / step)
+        q = np.sqrt(1.0 - t)
+        with np.errstate(divide="ignore"):
+            # s log x with x = (sqrt 2 - q) / (sqrt 2 + q) = 1 - 2q / (sqrt 2 + q)
+            slog_x = s * np.log1p(-2.0 * q / (_SQRT2 + q))
+            fluct = _fluctuation_logs(slog_x, s * u)
+        # one partial per band: each row is contiguous, so numpy sums it
+        # pairwise, batch or not
+        kernels.append(sphere_kernel(t).sum(axis=1))
+        flucts.append(fluct.sum(axis=1))
+        # a - b cos(u) = 4 (1 - t) + 4 (1 + t) sin^2(u / 2), without cancellation.
+        # sin^2 v <= v^2 caps the band's minimum, so sin is taken only on the
+        # pairs whose 4 (1 - t) lies under that cap.
+        lo = 4.0 * (1.0 - t)
+        cap = (lo + (1.0 + t) * np.square(u)).min(axis=1, initial=np.inf, keepdims=True)
+        near = lo <= cap
+        d = np.full_like(lo, np.inf)
+        d[near] = lo[near] + 4.0 * (1.0 + t[near]) * np.square(np.sin(0.5 * u[near]))
+        dmin = np.minimum(dmin, d.min(axis=1, initial=np.inf))
+    return fibered_energy(r, s, 2.0 * _fsum_rows(kernels)) - s * _fsum_rows(flucts), dmin
 
 
 def circle_average(h33, alpha, beta):

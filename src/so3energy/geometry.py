@@ -142,6 +142,13 @@ def rotation_mask(mats, tol=1e-10):
     return np.isfinite(m).all(axis=(1, 2)) & ortho & unit_det
 
 
+def first_non_rotation(mats):
+    """Index of the first matrix of an (m, 3, 3) stack that rotation_mask
+    refuses, or None when every one is a rotation."""
+    bad = np.flatnonzero(~rotation_mask(mats))
+    return int(bad[0]) if bad.size else None
+
+
 def is_rotation(m, tol=1e-10):
     """Check orthogonality and unit determinant within tol."""
     m = np.asarray(m, dtype=float)

@@ -83,7 +83,7 @@ def chunk_size(n):
     """Trials per chunk: at most 4096, and few enough that a (b, n, n) float
     batch would fit in 32 MB, with at least one trial. No such batch is
     built: the direct route forms it in (b, 64, n) row bands, and resampled
-    trials with s >= 3 use (b, r, r) arrays."""
+    trials with s >= 3 in (b, 64, r) bands of fiber pairs."""
     return max(1, min(4096, 2**25 // (8 * n * n)))
 
 
@@ -94,12 +94,14 @@ def _chunk_energies(args):
     chunk's (b, r) phases come from one keyed_uniforms call and its rotation
     rows from one fiber_matrices broadcast. A resampled trial draws its
     points first from the same stream, so those trials run one Generator
-    each; with s >= 3 they take fiber_pair_energies, the whole chunk at once.
-    The rest take the direct pair sum over their rotation rows. The identity
-    costs about as much per fiber pair as the direct sum spends on nine
-    rotation pairs, so with s <= 2 (at most four) it is slower once r passes
-    a few dozen; fixed-point runs check the identity's phase average, so
-    computing them through it would make the check circular.
+    each; with s >= 3 they take fiber_pair_energies, the whole chunk in one
+    call that walks each trial's fiber pairs in 64-row bands and combines
+    the band partials with fsum. The rest take the direct pair sum over their
+    rotation rows. The identity costs about as much per fiber pair as the
+    direct sum spends on nine rotation pairs, so with s <= 2 (at most four)
+    it is slower once r passes a few dozen; fixed-point runs check the
+    identity's phase average, so computing them through it would make the
+    check circular.
     """
     kind, r, s, master_seed, lo, hi, frames = args
     if frames is not None:

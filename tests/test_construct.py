@@ -18,6 +18,7 @@ from so3energy.construct import (
     save_configuration,
 )
 from so3energy.energy import log_energy
+from so3energy import geometry
 from so3energy.geometry import base_frames, is_rotation, unit_vector
 from so3energy.streams import DOMAIN_FIBER, keyed_stream
 
@@ -473,3 +474,18 @@ def test_load_rejects_non_rotation_rows(tmp_path, capsys, fmt, damage):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "matrix row 3 of 6" in captured.err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_energy_in_checks_each_rotation_once(tmp_path, capsys, monkeypatch, fmt):
+    # load_configuration and log_energy share one check of the loaded stack
+    pts = np.random.default_rng(33).standard_normal((5, 3))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    path = tmp_path / f"c.{fmt}"
+    save_configuration(build_configuration(pts, 3, rng=57), path, fmt=fmt)
+    checked = []
+    mask = geometry.rotation_mask
+    monkeypatch.setattr(geometry, "rotation_mask", lambda m: checked.append(len(m)) or mask(m))
+    assert main(["energy", "--in", str(path)]) == 0
+    assert checked == [15]
+    assert float(capsys.readouterr().out) == log_energy(load_configuration(path)).value

@@ -12,11 +12,12 @@ import math
 import numpy as np
 import pytest
 
-from so3energy.construct import build_configuration, fiber_energy_closed_form, fiber_matrices
+from so3energy.construct import ConfigMeta, Configuration, build_configuration, fiber_energy_closed_form, fiber_matrices
 from so3energy.energy import (
     COINCIDENCE_TOL,
     EnergyValue,
     _fluctuation_logs,
+    fibered_energy,
     _upper_tile_sums,
     _upper_tiles,
     circle_average,
@@ -28,6 +29,7 @@ from so3energy.energy import (
     sphere_kernel,
     sphere_kernel_energy,
 )
+from so3energy.ensembles import sample_points
 from so3energy.geometry import base_frames, haar_rotations, unit_vector
 
 _LOG2 = math.log(2.0)
@@ -194,6 +196,17 @@ def test_log_energy_refuses_what_is_not_a_stack_of_rotations():
     mats[1] *= 1.0 + 1e-9
     with pytest.raises(ValueError, match="matrix 1 is not a rotation"):
         log_energy(mats)
+
+
+def test_log_energy_refuses_a_hand_built_configuration_of_non_rotations():
+    meta = ConfigMeta(ensemble="custom", r=4, s=1, seed=None)
+    mats = haar_rotations(np.random.default_rng(6), 4)
+    mats[2, 0, 1] = math.inf
+    with pytest.raises(ValueError, match="matrix 2 has a non-finite entry"):
+        log_energy(Configuration(mats, meta))
+    mats[2] = np.diag([-1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="matrix 2 is not a rotation"):
+        log_energy(Configuration(mats, meta))
 
 
 def test_direct_route_builds_no_n_by_n_array():
@@ -421,10 +434,75 @@ def test_fiber_pair_energy_invariant_under_left_rotation_and_permutation(seed):
     assert permuted == pytest.approx(e, rel=1e-12)
 
 
+@pytest.mark.parametrize("kind", ["uniform", "zeros"])
+@pytest.mark.parametrize("s", [3, 7])
+@pytest.mark.parametrize("r", [65, 130, 200])
+def test_fiber_pair_energy_matches_direct_route_across_bands(r, s, kind):
+    # r > 64: the fiber pairs span two to four 64-row bands, whose partials
+    # are combined with fsum
+    rng = np.random.default_rng(10 * r + s)
+    frames = base_frames(sample_points(kind, r, rng))
+    (e, m), (e_direct, m_direct) = _both_routes(frames, rng.uniform(0.0, 2.0 * math.pi, r), s)
+    assert e == pytest.approx(e_direct, rel=1e-12)
+    assert m == pytest.approx(m_direct, rel=1e-9, abs=1e-13)
+
+
+def _one_band_reference(frames, phases, s):
+    """The fiber-pair identity over all pairs i < j of one trial as one row,
+    each sum taken pairwise once: for r <= 64 the banded route's only band."""
+    r = len(phases)
+    frames, phases = frames[None], phases[None]
+    flat = np.flatnonzero(np.triu(np.ones((r, r), dtype=bool), 1))
+
+    def pairs(x):
+        return x.reshape(1, r * r)[:, flat]
+
+    pts, cols = frames[..., 2], frames[..., :2]
+    a = cols.reshape(1, r, 6)
+    b = (cols[..., ::-1] * (1.0, -1.0)).reshape(1, r, 6)
+    t = np.clip(pairs(pts @ pts.transpose(0, 2, 1)), -1.0, 1.0)
+    psi = np.arctan2(pairs(a @ b.transpose(0, 2, 1)), pairs(a @ a.transpose(0, 2, 1)))
+    theta = pairs(phases[:, None, :] - phases[:, :, None]) - psi
+    step = 2.0 * math.pi / s
+    u = theta - step * np.rint(theta / step)
+    q = np.sqrt(1.0 - t)
+    fluct = _fluctuation_logs(s * np.log1p(-2.0 * q / (math.sqrt(2.0) + q)), s * u)
+    energy = fibered_energy(r, s, 2.0 * sphere_kernel(t).sum(axis=1)) - s * fluct.sum(axis=1)
+    d = 4.0 * (1.0 - t) + 4.0 * (1.0 + t) * np.square(np.sin(0.5 * u))
+    return float(energy[0]), float(d.min(initial=8.0 * math.sin(math.pi / s) ** 2))
+
+
+def test_fiber_pair_energy_with_one_band_is_one_pairwise_sum():
+    rng = np.random.default_rng(47)
+    for r in (2, 40, 64):
+        for s in (3, 14):
+            frames = base_frames(sample_points("zeros", r, rng))
+            phases = rng.uniform(0.0, 2.0 * math.pi, r)
+            assert _fiber_route(frames, phases, s) == _one_band_reference(frames, phases, s)
+
+
+def test_fiber_route_memory_grows_as_64_r():
+    # r = 400: (r, r) products and r (r - 1)/2-long pair rows peaked at
+    # 7.4 MiB; (64, r) bands stay under 4 MiB
+    import tracemalloc
+
+    rng = np.random.default_rng(48)
+    frames = haar_rotations(rng, 400)[None]
+    phases = rng.uniform(0.0, 2.0 * math.pi, (1, 400))
+    tracemalloc.start()
+    try:
+        energies, _ = fiber_pair_energies(frames, phases, 17)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(energies[0])
+    assert peak < 4 * 2**20
+
+
 def test_fiber_pair_energies_batch_equals_single_trials():
     # a trial gives the same bits alone and inside a batch of 6
     rng = np.random.default_rng(46)
-    for r, s in ((5, 3), (70, 2)):
+    for r, s in ((5, 3), (70, 2), (130, 5)):
         frames = haar_rotations(rng, 6 * r).reshape(6, r, 3, 3)
         phases = rng.uniform(0.0, 2.0 * math.pi, (6, r))
         energies, mins = fiber_pair_energies(frames, phases, s)
