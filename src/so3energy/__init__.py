@@ -32,7 +32,6 @@ from .construct import (
     save_configuration,
 )
 from .energy import (
-    EnergyValue,
     circle_average,
     circle_average_quadrature,
     log_energy,

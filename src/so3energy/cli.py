@@ -96,12 +96,8 @@ def _cmd_constants(args):
     return 0
 
 
-def _resolve_s(kind, r, s):
-    return optimal_s(kind, r) if s is None else s
-
-
 def _cmd_generate(args):
-    s = _resolve_s(args.ensemble, args.r, args.s)
+    s = optimal_s(args.ensemble, args.r) if args.s is None else args.s
     points = sample_points(args.ensemble, args.r, keyed_stream(args.seed, DOMAIN_POINTS))
     config = build_configuration(points, s, args.seed, ensemble=args.ensemble)
     save_configuration(config, args.out, fmt=args.format)
@@ -116,8 +112,8 @@ def _cmd_generate(args):
                 "s": s,
                 "n": config.n,
                 "seed": args.seed,
-                "log_energy": e.value,
-                "is_infinite": e.is_infinite,
+                "log_energy": e,
+                "is_infinite": math.isinf(e),
             }
         )
     )
@@ -126,7 +122,7 @@ def _cmd_generate(args):
 
 def _cmd_energy(args):
     e = log_energy(load_configuration(args.path))
-    print(repr(e.value))
+    print(repr(e))
     return 0
 
 
@@ -154,10 +150,7 @@ def _cmd_predict(args):
 
 
 def _cmd_mc(args):
-    if args.trials < 1:
-        print("error: --trials must be >= 1", file=sys.stderr)
-        return 2
-    spec = EnsembleSpec(args.ensemble, args.r, _resolve_s(args.ensemble, args.r, args.s))
+    spec = EnsembleSpec(args.ensemble, args.r, args.s)
     report = run_experiment(ExperimentConfig(spec=spec, trials=args.trials, master_seed=args.seed))
     if args.format == "csv":
         sys.stdout.write(report.to_csv())
@@ -167,11 +160,9 @@ def _cmd_mc(args):
 
 
 def _cmd_table(args):
-    if args.rmax < 2:
-        print("error: --rmax must be >= 2", file=sys.stderr)
-        return 2
+    rows = realizable_n(args.ensemble, args.rmax)
     print("r,s,n")
-    for r, s, n in realizable_n(args.ensemble, args.rmax):
+    for r, s, n in rows:
         print(f"{r},{s},{n}")
     return 0
 

@@ -23,17 +23,17 @@ def kappa():
     return -(1.0 + math.log(2.0)) / 2.0
 
 
-def kappa_quadrature(tol=1e-11):
+def kappa_quadrature():
     """Same constant as -(2/pi) int_0^pi log(sqrt8 sin(t/2)) sin^2(t/2) dt."""
 
     def f(t):
         return np.log(np.sqrt(8.0) * np.sin(t / 2.0)) * np.sin(t / 2.0) ** 2
 
-    return -(2.0 / math.pi) * integrate(f, 0.0, math.pi, tol=tol)
+    return -(2.0 / math.pi) * integrate(f, 0.0, math.pi, tol=1e-11)
 
 
 @lru_cache(maxsize=None)
-def constant_J(tol=1e-9):
+def constant_J():
     """Limit constant of the rescaled zeros-ensemble kernel energies.
 
     Improper quadrature of sqrt(t) N(t)/(e^t - 1)^3 with
@@ -53,7 +53,7 @@ def constant_J(tol=1e-9):
         ) ** 3
         return np.sqrt(t) * np.where(small, series, ratio)
 
-    return integrate_improper(f, tol=tol)
+    return integrate_improper(f, tol=1e-9)
 
 
 def c_zeros():
@@ -156,14 +156,14 @@ def gamma_r(r, u):
 
 
 @lru_cache(maxsize=None)
-def _zeros_kernel_integral(r, tol=1e-10):
+def _zeros_kernel_integral(r):
     def f(u):
         u = np.asarray(u, dtype=float)
         with np.errstate(invalid="ignore"):
             core = u * np.log1p(u / np.sqrt(1.0 + u * u))
         return np.where(u > 0.0, core * gamma_r(r, u), 0.0)
 
-    return r * r * 2.0 * integrate_improper(f, tol=tol)
+    return r * r * 2.0 * integrate_improper(f)
 
 
 def expected_kernel_energy(kind, r):
@@ -193,14 +193,14 @@ def expected_kernel_energy(kind, r):
 
 
 @lru_cache(maxsize=None)
-def _harmonic_kernel_energy(L, tol=1e-10):
+def _harmonic_kernel_energy(L):
     r = (L + 1) ** 2
 
     def f(t):
         p = jacobi_p(L, 1.0, 0.0, t)
         return (1.0 - p * p / (L + 1) ** 2) * sphere_kernel(t)
 
-    return r * r / 2.0 * integrate(f, -1.0, 1.0, tol=tol)
+    return r * r / 2.0 * integrate(f, -1.0, 1.0)
 
 
 def eap_kernel_lower_bound(r):
@@ -254,7 +254,6 @@ def _energy_prediction(kind, r, s=None, points=None):
 @dataclass(frozen=True)
 class GammaBoundsReport:
     r: int
-    grid_size: int
     failures: int
     max_ratio_inner: float
     max_ratio_outer: float
@@ -264,8 +263,9 @@ class GammaBoundsReport:
         return self.failures == 0
 
 
-def gamma_r_bounds_check(r, grid=None):
-    """Check the two-regime envelope of the radial pair density on a grid.
+def gamma_r_bounds_check(r):
+    """Check the two-regime envelope of the radial pair density on 200
+    log-spaced u from 1e-4 to 1e4.
 
     Inside u < 1/sqrt(r): gamma_1 <= 11 r u^2, gamma_2 <= 2 r u^2, total
     <= 13 r u^2. Outside: gamma_1 <= 2/(1+u^2)^2, gamma_2 <= 8 r^2 u^4 /
@@ -274,9 +274,7 @@ def gamma_r_bounds_check(r, grid=None):
     """
     if r < 2:
         raise ValueError(f"need r >= 2, got {r}")
-    if grid is None:
-        grid = np.geomspace(1e-4, 1e4, 200)
-    grid = np.asarray(grid, dtype=float)
+    grid = np.geomspace(1e-4, 1e4, 200)
     l1p, logw1, eta1, eta2 = _gamma_r_logs(r, grid)
     log_g1 = 2.0 * _log_abs_expm1(eta1) + (r - 2.0) * l1p - logw1
     log_g2 = 2.0 * _log_abs_expm1(eta2) - logw1
@@ -297,7 +295,6 @@ def gamma_r_bounds_check(r, grid=None):
         ratio = np.exp(log_tot - cap_tot)
     return GammaBoundsReport(
         r=int(r),
-        grid_size=int(grid.size),
         failures=int(np.count_nonzero(~ok)),
         max_ratio_inner=float(ratio[inner].max()) if np.any(inner) else 0.0,
         max_ratio_outer=float(ratio[~inner].max()) if np.any(~inner) else 0.0,
@@ -308,7 +305,7 @@ def gamma_r_bounds_check(r, grid=None):
 
 
 @lru_cache(maxsize=None)
-def so3_harmonic_integral(L, tol=1e-9):
+def so3_harmonic_integral(L):
     """(4/pi) int_0^{pi/2} log(sqrt8 sin t) C_{2L}^{(2)}(cos t)^2 sin^2 t dt."""
     if L < 0:
         raise ValueError(f"need L >= 0, got {L}")
@@ -317,7 +314,7 @@ def so3_harmonic_integral(L, tol=1e-9):
         c = gegenbauer(2 * L, 2.0, np.cos(t))
         return np.log(np.sqrt(8.0) * np.sin(t)) * c * c * np.sin(t) ** 2
 
-    return 4.0 / math.pi * integrate(f, 0.0, math.pi / 2.0, tol=tol)
+    return 4.0 / math.pi * integrate(f, 0.0, math.pi / 2.0, tol=1e-9)
 
 
 # --- CLI surface -----------------------------------------------------------------

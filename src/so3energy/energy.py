@@ -25,7 +25,6 @@ bands of the direct route and combines its band partials with fsum too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -44,15 +43,6 @@ _FIBER_GROUP = 2**14
 
 _LOG2 = math.log(2.0)
 _SQRT2 = math.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class EnergyValue:
-    value: float
-    is_infinite: bool = False
-
-    def __float__(self):
-        return self.value
 
 
 @lru_cache(maxsize=32)
@@ -139,8 +129,8 @@ def pair_log_sums(rows):
 def log_energy(config):
     """Logarithmic energy of a configuration or an (n, 3, 3) stack of rotations.
 
-    Returns EnergyValue; a pair closer than the coincidence tolerance sets
-    the infinite flag instead of producing a silent -inf. Raises ValueError
+    Returns a float: math.inf when a pair is closer than the coincidence
+    tolerance, instead of a silent -inf. Raises ValueError
     for another shape, an empty stack, and a matrix with a non-finite entry
     or that is not a rotation within 1e-10 (geometry.rotation_mask). A
     Configuration is checked once, however often it is asked
@@ -157,11 +147,11 @@ def log_energy(config):
         what = "is not a rotation" if np.isfinite(mats[i]).all() else "has a non-finite entry"
         raise ValueError(f"matrix {i} {what}")
     if n == 1:
-        return EnergyValue(0.0)
+        return 0.0
     sums, mins = pair_log_sums(mats.reshape(1, n, 9))
     if mins[0] < COINCIDENCE_TOL:
-        return EnergyValue(math.inf, is_infinite=True)
-    return EnergyValue(float(-sums[0]))
+        return math.inf
+    return float(-sums[0])
 
 
 def sphere_kernel(t):
@@ -299,7 +289,7 @@ def circle_average(h33, alpha, beta):
     return 2.0 * math.log((math.sqrt(alpha - beta) + math.sqrt(alpha + beta + 2.0 * beta * h33)) / 2.0)
 
 
-def circle_average_quadrature(h, alpha, beta, tol=1e-10):
+def circle_average_quadrature(h, alpha, beta):
     """Quadrature twin of circle_average for an explicit rotation H."""
     if abs(beta) > alpha / 3.0:
         raise ValueError(f"need |beta| <= alpha/3, got alpha={alpha}, beta={beta}")
@@ -312,4 +302,4 @@ def circle_average_quadrature(h, alpha, beta, tol=1e-10):
     def f(phi):
         return np.log(alpha + beta * (a_c * np.cos(phi) + a_s * np.sin(phi) + h33))
 
-    return integrate(f, 0.0, 2.0 * math.pi, tol=tol) / (2.0 * math.pi)
+    return integrate(f, 0.0, 2.0 * math.pi) / (2.0 * math.pi)

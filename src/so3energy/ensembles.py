@@ -19,6 +19,11 @@ from .geometry import inverse_stereographic
 ENSEMBLE_KINDS = ("uniform", "zeros", "eap", "spherical")
 
 _DEGENERATE_LEAD = 1e-300
+# Aberth's step tolerance, sweeps per attempt, restarts and acceptance test
+# (see aberth_roots)
+_STEP_TOL = 1e-12
+_MAX_SWEEPS = 200
+_RETRIES = 3
 _RESIDUAL_TOL = 1e-10
 # Aberth's Cauchy sums come from a Gram product of squared distances, except
 # for pairs closer than sqrt(_GRAM_FLOOR) |z_i|, where the product's
@@ -286,7 +291,7 @@ def _newton_polygon_starts(c):
     return np.exp(log_radii[edge]), angles
 
 
-def aberth_roots(coeffs, tol=1e-12, cap=200, retries=3):
+def aberth_roots(coeffs):
     """All complex roots of sum_j coeffs[j] z^j by Aberth-Ehrlich iteration.
 
     coeffs runs from the constant term up; the leading coefficient must be
@@ -296,12 +301,12 @@ def aberth_roots(coeffs, tol=1e-12, cap=200, retries=3):
     Newton-polygon points: one circle per edge of the upper convex hull of
     (j, log|coeffs[j]|), with as many points as the edge is long, so roots of
     very different moduli start near their own circle. A root stops moving
-    once its step satisfies |dz| <= tol (1 + |z|); later sweeps update only
-    the roots still moving, each against all r current roots. An attempt is
-    accepted when every relative residual ends below 1e-10, so
-    ill-conditioned roots whose forward steps stagnate still pass on backward
-    error. Each retry restarts from the same circles, re-phased. Raises
-    RootFindingError when every attempt fails.
+    once its step satisfies |dz| <= 1e-12 (1 + |z|); later sweeps update only
+    the roots still moving, each against all r current roots. An attempt of
+    at most 200 sweeps is accepted when every relative residual ends below
+    1e-10, so ill-conditioned roots whose forward steps stagnate still pass
+    on backward error. Each of 3 retries restarts from the same circles,
+    re-phased. Raises RootFindingError when every attempt fails.
 
     A sweep over a active roots does its O(a r) work in BLAS products: p and
     p' from sqrt(r)-long coefficient blocks, roots with |z| <= 1 in z and the
@@ -322,13 +327,13 @@ def aberth_roots(coeffs, tol=1e-12, cap=200, retries=3):
     if k:
         # at z = 0 the relative residual is 0/0, so exact zero roots are split off
         zeros = np.zeros(k, dtype=complex)
-        return zeros if k == r else np.concatenate([zeros, aberth_roots(c[k:], tol, cap, retries)])
+        return zeros if k == r else np.concatenate([zeros, aberth_roots(c[k:])])
     radii, angles = _newton_polygon_starts(c)
     ws = _AberthWorkspace(c)
-    for attempt in range(retries + 1):
+    for attempt in range(_RETRIES + 1):
         z = radii * np.exp(1j * (angles + 0.35 + 0.6 * attempt))
         active, aza = np.arange(r), radii
-        for _ in range(cap):
+        for _ in range(_MAX_SWEEPS):
             order, n_in = _inner_first(aza)
             active = active[order]
             za = z[active]
@@ -339,13 +344,13 @@ def aberth_roots(coeffs, tol=1e-12, cap=200, retries=3):
             if not np.isfinite(za).all():
                 break
             aza = np.abs(za)
-            moving = np.abs(delta) > tol * (1.0 + aza)
+            moving = np.abs(delta) > _STEP_TOL * (1.0 + aza)
             active, aza = active[moving], aza[moving]
             if len(active) == 0:
                 break
         if np.all(np.isfinite(z)) and np.max(ws.relative_residuals(z)) <= _RESIDUAL_TOL:
             return z
-    raise RootFindingError(f"degree-{r} root iteration failed after {retries + 1} attempts")
+    raise RootFindingError(f"degree-{r} root iteration failed after {_RETRIES + 1} attempts")
 
 
 @lru_cache(maxsize=8)

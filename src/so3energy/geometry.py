@@ -119,16 +119,16 @@ def unit_vector(v):
     return v / n
 
 
-def _unit_points(points, tol=1e-10):
+def _unit_points(points):
     """`points` as an (r, 3) float array; ValueError for another shape or a
-    row that is not finite with a norm within tol of 1."""
+    row that is not finite with a norm within 1e-10 of 1."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"points must form an (r, 3) array, got shape {pts.shape}")
-    bad = np.flatnonzero(~(np.abs(np.linalg.norm(pts, axis=1) - 1.0) <= tol))
+    bad = np.flatnonzero(~(np.abs(np.linalg.norm(pts, axis=1) - 1.0) <= 1e-10))
     if bad.size:
         i = bad[0]
-        raise ValueError(f"point {i} is {pts[i].tolist()}: points must be finite with norm within {tol:g} of 1")
+        raise ValueError(f"point {i} is {pts[i].tolist()}: points must be finite with norm within 1e-10 of 1")
     return pts
 
 

@@ -18,15 +18,15 @@ _X_LO, _W_LO = np.polynomial.legendre.leggauss(_ORDER_LO)
 _X_HI, _W_HI = np.polynomial.legendre.leggauss(_ORDER_HI)
 
 _MIN_TOL = 1e-12
+_MAX_PANELS = 20000
 
 
 class QuadratureError(RuntimeError):
     """Raised when the panel budget is exhausted before convergence."""
 
-    def __init__(self, msg, estimate=None, error_estimate=None, panels=None):
+    def __init__(self, msg, estimate=None, panels=None):
         super().__init__(msg)
         self.estimate = estimate
-        self.error_estimate = error_estimate
         self.panels = panels
 
 
@@ -45,7 +45,7 @@ def _panel_estimates(f, a, b):
     return lo, hi
 
 
-def integrate(f, a, b, tol=1e-10, max_panels=20000):
+def integrate(f, a, b, tol=1e-10):
     """Integrate f over [a, b] to roughly `tol` absolute accuracy.
 
     f takes a numpy array of abscissae and returns an array of the same
@@ -53,7 +53,7 @@ def integrate(f, a, b, tol=1e-10, max_panels=20000):
     powers) are handled by bisection: a panel's error budget scales with
     sqrt(width) once panels get small, so refinement chains terminate.
 
-    Raises QuadratureError if max_panels panels do not suffice.
+    Raises QuadratureError if 20000 panels do not suffice.
     """
     a, b = float(a), float(b)
     if not (tol >= _MIN_TOL):
@@ -61,21 +61,19 @@ def integrate(f, a, b, tol=1e-10, max_panels=20000):
     if a == b:
         return 0.0
     if b < a:
-        return -integrate(f, b, a, tol=tol, max_panels=max_panels)
+        return -integrate(f, b, a, tol=tol)
 
     width_total = b - a
     stack = [(a, b)]
     accepted = []
-    err_accum = 0.0
     used = 0
     while stack:
         pa, pb = stack.pop()
         used += 1
-        if used > max_panels:
+        if used > _MAX_PANELS:
             raise QuadratureError(
-                f"no convergence after {max_panels} panels on [{a}, {b}]",
+                f"no convergence after {_MAX_PANELS} panels on [{a}, {b}]",
                 estimate=math.fsum(accepted),
-                error_estimate=err_accum,
                 panels=used,
             )
         lo, hi = _panel_estimates(f, pa, pb)
@@ -84,7 +82,6 @@ def integrate(f, a, b, tol=1e-10, max_panels=20000):
         budget = tol * max(frac, math.sqrt(frac) / 8.0)
         if err <= budget or (pb - pa) < 1e-15 * width_total:
             accepted.append(hi)
-            err_accum += err
         else:
             mid = (pa + pb) / 2.0
             stack.append((mid, pb))
@@ -92,7 +89,7 @@ def integrate(f, a, b, tol=1e-10, max_panels=20000):
     return math.fsum(accepted)
 
 
-def integrate_improper(f, tol=1e-10, max_panels=20000):
+def integrate_improper(f, tol=1e-10):
     """Integrate f over (0, inf) via the substitution t = u / (1 - u).
 
     The transformed integrand must vanish as u -> 1 (i.e. f must decay
@@ -117,4 +114,4 @@ def integrate_improper(f, tol=1e-10, max_panels=20000):
         raise QuadratureError(
             f"transformed integrand grows near infinity (|g|: {g_near:.3e} -> {g_far:.3e})"
         )
-    return integrate(g, 0.0, 1.0, tol=tol, max_panels=max_panels)
+    return integrate(g, 0.0, 1.0, tol=tol)

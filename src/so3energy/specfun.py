@@ -112,7 +112,7 @@ def gegenbauer_via_jacobi(n, lam, x):
 # --- surrogate kernel: Fourier coefficients and derivatives -----------------
 
 
-def kernel_gegenbauer_coeff(n, *, tol=1e-11):
+def kernel_gegenbauer_coeff(n):
     """Coefficient of index n in the Legendre expansion of
     f(t) = -log(1 + sqrt((1-t)/2)) on the two-sphere, weight 1/2.
 
@@ -124,69 +124,31 @@ def kernel_gegenbauer_coeff(n, *, tol=1e-11):
     def f(t):
         return -np.log1p(np.sqrt((1.0 - t) / 2.0)) * jacobi_p(n, 0.0, 0.0, t)
 
-    return (2.0 * n + 1.0) / 2.0 * integrate(f, -1.0, 1.0, tol=tol)
-
-
-# integer partitions of n (as part multisets) for the chain-rule sum, n <= 6
-_PARTITIONS = {
-    1: [(1,)],
-    2: [(2,), (1, 1)],
-    3: [(3,), (2, 1), (1, 1, 1)],
-    4: [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)],
-    5: [(5,), (4, 1), (3, 2), (3, 1, 1), (2, 2, 1), (2, 1, 1, 1), (1, 1, 1, 1, 1)],
-    6: [
-        (6,),
-        (5, 1),
-        (4, 2),
-        (3, 3),
-        (4, 1, 1),
-        (3, 2, 1),
-        (2, 2, 2),
-        (3, 1, 1, 1),
-        (2, 2, 1, 1),
-        (2, 1, 1, 1, 1),
-        (1, 1, 1, 1, 1, 1),
-    ],
-}
-
-_ODD_DOUBLE_FACT = {1: 1.0, 2: 1.0, 3: 3.0, 4: 15.0, 5: 105.0, 6: 945.0}  # (2j-3)!!
-
-
-def _partition_coeff(n, parts):
-    mult = {}
-    for j in parts:
-        mult[j] = mult.get(j, 0) + 1
-    denom = 1.0
-    for j, m in mult.items():
-        denom *= math.factorial(j) ** m * math.factorial(m)
-    return math.factorial(n) / denom
+    return (2.0 * n + 1.0) / 2.0 * integrate(f, -1.0, 1.0, tol=1e-11)
 
 
 def kernel_derivative(n, t):
     """n-th derivative of f(t) = -log(1 + sqrt((1-t)/2)) for 1 <= n <= 6.
 
-    Chain rule through f = g(h) with g(y) = (1/2) log 2 - log(sqrt 2 + y)
-    and h(t) = sqrt(1 - t); every summand is positive on (-1, 1).
+    With h = sqrt(1 - t), f = (1/2) log 2 - log(sqrt 2 + h) and
+    d/dt = -(1/(2h)) d/dh, which takes c h^-p (sqrt 2 + h)^-q to
+    (c p/2) h^-(p+2) (sqrt 2 + h)^-q + (c q/2) h^-(p+1) (sqrt 2 + h)^-(q+1).
+    The recurrence starts from f' = (1/2) h^-1 (sqrt 2 + h)^-1, so every
+    coefficient stays positive and every summand is positive on (-1, 1).
     """
-    if n not in _PARTITIONS:
+    if n not in range(1, 7):
         raise ValueError(f"derivative order must be in 1..6, got {n}")
     if not -1.0 < t < 1.0:
         raise ValueError(f"t must lie strictly inside (-1, 1), got {t}")
+    terms = {(1, 1): 0.5}  # (p, q) -> c
+    for _ in range(n - 1):
+        nxt = {}
+        for (p, q), c in terms.items():
+            nxt[p + 2, q] = nxt.get((p + 2, q), 0.0) + c * p / 2.0
+            nxt[p + 1, q + 1] = nxt.get((p + 1, q + 1), 0.0) + c * q / 2.0
+        terms = nxt
     h = math.sqrt(1.0 - t)
-    # h^(j)(t) = -((2j-3)!! / 2^j) (1-t)^{-(2j-1)/2}
-    hder = {
-        j: -(_ODD_DOUBLE_FACT[j] / 2.0**j) * (1.0 - t) ** (-(2 * j - 1) / 2.0)
-        for j in range(1, n + 1)
-    }
-    total = 0.0
-    for parts in _PARTITIONS[n]:
-        k = len(parts)
-        g_k = (-1.0) ** k * math.factorial(k - 1) * (_SQRT2 + h) ** (-k)
-        term = g_k * _partition_coeff(n, parts)
-        for j in parts:
-            term *= hder[j]
-        total += term
-    return total
+    return math.fsum(c * h**-p * (_SQRT2 + h) ** -q for (p, q), c in terms.items())
 
 
 # --- oscillatory Bessel moments ---------------------------------------------
@@ -203,8 +165,9 @@ def kernel_derivative(n, t):
 _TAIL_A, _TAIL_B, _TAIL_D = {0: 1.0, 2: 1.0}, {0: 1.0, 2: -1.0}, {1: -2.0}
 
 
-def _tail_primitives(T, m, want_log=False, depth=20):
-    """Integrals over (T, inf) of t^{-(m+k)} cos/sin(2t) (and log-weighted)."""
+def _tail_primitives(T, m, depth=20):
+    """Integrals over (T, inf) of t^-m cos(2t) and t^-m sin(2t), then the
+    same times log t."""
     c = [0.0] * (depth + 2)
     s = [0.0] * (depth + 2)
     sin2t, cos2t = math.sin(2.0 * T), math.cos(2.0 * T)
@@ -213,8 +176,6 @@ def _tail_primitives(T, m, want_log=False, depth=20):
         tp = T ** (-mm)
         c[k] = -sin2t * tp / 2.0 + mm / 2.0 * s[k + 1]
         s[k] = cos2t * tp / 2.0 - mm / 2.0 * c[k + 1]
-    if not want_log:
-        return c[0], s[0]
     cl = [0.0] * (depth + 2)
     sl = [0.0] * (depth + 2)
     logT = math.log(T)
@@ -226,40 +187,31 @@ def _tail_primitives(T, m, want_log=False, depth=20):
     return c[0], s[0], cl[0], sl[0]
 
 
-def _power_tail(T, m, want_log=False):
-    """Integral over (T, inf) of t^{-m} (optionally times log t); needs m > 1."""
-    p = T ** (1.0 - m) / (m - 1.0)
-    if not want_log:
-        return p
-    return p, T ** (1.0 - m) * (math.log(T) / (m - 1.0) + 1.0 / (m - 1.0) ** 2)
+def _power_tail(T, m):
+    """Integrals over (T, inf) of t^-m and of t^-m log t; needs m > 1."""
+    return T ** (1.0 - m) / (m - 1.0), T ** (1.0 - m) * (math.log(T) / (m - 1.0) + 1.0 / (m - 1.0) ** 2)
 
 
 def _moment_tail(T, s_exp, log_weight):
+    # the log-weighted moment has s_exp = 0 and reads the log entries
+    w = int(log_weight)
     total = 0.0
-    if not log_weight:
-        for j, coeff in _TAIL_A.items():
-            total += coeff * _power_tail(T, s_exp + 2.0 + j)
-        for j, coeff in _TAIL_B.items():
-            total += coeff * _tail_primitives(T, s_exp + 2.0 + j)[0]
-        for j, coeff in _TAIL_D.items():
-            total += coeff * _tail_primitives(T, s_exp + 2.0 + j)[1]
-    else:
-        for j, coeff in _TAIL_A.items():
-            total += coeff * _power_tail(T, 2.0 + j, want_log=True)[1]
-        for j, coeff in _TAIL_B.items():
-            total += coeff * _tail_primitives(T, 2.0 + j, want_log=True)[2]
-        for j, coeff in _TAIL_D.items():
-            total += coeff * _tail_primitives(T, 2.0 + j, want_log=True)[3]
+    for j, coeff in _TAIL_A.items():
+        total += coeff * _power_tail(T, s_exp + 2.0 + j)[w]
+    for j, coeff in _TAIL_B.items():
+        total += coeff * _tail_primitives(T, s_exp + 2.0 + j)[2 * w]
+    for j, coeff in _TAIL_D.items():
+        total += coeff * _tail_primitives(T, s_exp + 2.0 + j)[2 * w + 1]
     return total / math.pi
 
 
-def _moment_quadrature(weight, s_exp, tol, log_weight):
+def _moment_quadrature(weight, s_exp, log_weight):
     # T = 14 pi sits on an oscillation boundary; the exact tail allows a
     # short finite part
     zeros = [(k + 1.0) * math.pi for k in range(14)]
     T = zeros[-1]
     edges = [0.0] + zeros
-    panel_tol = max(tol / (4.0 * len(edges)), 1e-12)
+    panel_tol = max(1e-10 / (4.0 * len(edges)), 1e-12)
 
     def f(t):
         t = np.asarray(t, dtype=float)
@@ -270,7 +222,7 @@ def _moment_quadrature(weight, s_exp, tol, log_weight):
     return finite + _moment_tail(T, s_exp, log_weight)
 
 
-def bessel_moment(s_exp, *, tol=1e-10):
+def bessel_moment(s_exp):
     """Quadrature value of int_0^inf t^{-s-1} J_{3/2}(t)^2 dt.
 
     Convergence needs -1 < s_exp < 3. Compare with
@@ -282,16 +234,16 @@ def bessel_moment(s_exp, *, tol=1e-10):
     def weight(t):
         return np.power(t, -s_exp - 1.0, where=t > 0, out=np.zeros_like(t))
 
-    return _moment_quadrature(weight, s_exp, tol, log_weight=False)
+    return _moment_quadrature(weight, s_exp, log_weight=False)
 
 
-def bessel_log_moment(*, tol=1e-10):
+def bessel_log_moment():
     """Quadrature value of int_0^inf log(t)/t * J_{3/2}(t)^2 dt."""
 
     def weight(t):
         return np.where(t > 0, np.log(np.where(t > 0, t, 1.0)) / np.where(t > 0, t, 1.0), 0.0)
 
-    return _moment_quadrature(weight, 0.0, tol, log_weight=True)
+    return _moment_quadrature(weight, 0.0, log_weight=True)
 
 
 def bessel_moment_closed_form(s_exp, nu):

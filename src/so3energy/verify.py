@@ -92,7 +92,7 @@ def _check_fiber_identity(fast):
     errs = []
     for s in range(1, 65):
         p = sample_uniform(1, rng)[0]
-        direct = -float(log_energy(build_configuration(p, s, rng)))
+        direct = -log_energy(build_configuration(p, s, rng))
         closed = fiber_energy_closed_form(s)
         errs.append(abs(direct - closed) / max(1.0, abs(closed)))
     # np.max, unlike max, keeps a NaN, which then fails the comparison

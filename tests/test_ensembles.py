@@ -343,6 +343,25 @@ def test_root_finding_error_is_runtime_error():
     assert issubclass(RootFindingError, RuntimeError)
 
 
+def test_aberth_roots_gives_up_after_its_sweep_budget(monkeypatch, capsys, tmp_path):
+    # one sweep and no restart cannot solve a degree-64 polynomial; the
+    # finder raises, and generate reports it as a run failure, writing nothing
+    from so3energy import ensembles
+    from so3energy.cli import main
+
+    monkeypatch.setattr(ensembles, "_MAX_SWEEPS", 1)
+    monkeypatch.setattr(ensembles, "_RETRIES", 0)
+    with pytest.raises(RootFindingError, match="after 1 attempts"):
+        aberth_roots(kostlan_coeffs(np.random.default_rng(91), 64))
+    out_path = tmp_path / "c.json"
+    code = main(["generate", "--ensemble", "zeros", "--r", "64", "--out", str(out_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error:") and "after 1 attempts" in captured.err
+    assert captured.out == ""
+    assert not out_path.exists()
+
+
 # --- equal-area partition --------------------------------------------------------
 
 

@@ -275,7 +275,7 @@ def test_mean_matches_direct_energy_computation():
         rng = keyed_stream(seed, DOMAIN_TRIAL, t)
         pts = sample_points(kind, r, rng)
         rows = fiber_matrices(base_frames(pts), rng.uniform(0.0, 2.0 * math.pi, r), s)
-        direct.append(log_energy(rows.reshape(-1, 3, 3)).value)
+        direct.append(log_energy(rows.reshape(-1, 3, 3)))
     rep = run_experiment(ExperimentConfig(EnsembleSpec(kind, r, s=s), trials, master_seed=seed))
     assert rep.mean == pytest.approx(math.fsum(direct) / trials, rel=1e-13)
 
@@ -354,7 +354,7 @@ def test_chunk_energies_equal_log_energy_of_rebuilt_configurations(kind, r, s, r
     for t in range(trials):
         rng = keyed_stream(seed, DOMAIN_TRIAL, t)
         pts = sample_points(kind, r, rng) if resample else points
-        direct = log_energy(build_configuration(pts, s, rng)).value
+        direct = log_energy(build_configuration(pts, s, rng))
         single, _ = _chunk_energies((kind, r, s, seed, t, t + 1, frames))
         assert single[0] == batched[t]
         if resample and s >= 3:

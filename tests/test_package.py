@@ -6,7 +6,7 @@ EXPORTS = {
     '__version__', 'aberth_roots', 'all_constants', 'build_configuration', 'c_harmonic_so3',
     'c_sph', 'c_zeros', 'circle_average', 'circle_average_quadrature', 'Configuration',
     'constant_J', 'eap_energy_upper_bound', 'eap_kernel_lower_bound',
-    'EnergyValue', 'EnsembleSpec', 'equal_area_partition', 'EqualAreaRegion', 'EstimateReport',
+    'EnsembleSpec', 'equal_area_partition', 'EqualAreaRegion', 'EstimateReport',
     'expected_configuration_energy', 'expected_kernel_energy', 'ExperimentConfig',
     'fiber_energy_closed_form', 'gamma_r', 'gamma_r_bounds_check', 'haar_rotations',
     'integrate', 'integrate_improper', 'inverse_stereographic', 'kappa', 'kappa_quadrature',

@@ -45,11 +45,14 @@ def test_power_singularity_converges():
     assert abs(v - 2.0) < 1e-8
 
 
-def test_panel_budget_exhaustion_reports_state():
+def test_panel_budget_exhaustion_reports_state(monkeypatch):
     # a panel cap too small for the integrand must raise, and the error
     # must carry the panel count and a finite partial estimate
+    from so3energy import quadrature
+
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 4)
     with pytest.raises(QuadratureError) as info:
-        integrate(np.log, 0.0, 1.0, max_panels=4)
+        integrate(np.log, 0.0, 1.0)
     assert info.value.panels == 5
     assert math.isfinite(info.value.estimate)
 

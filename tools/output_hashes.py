@@ -15,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -39,6 +40,8 @@ _PREDICT = [(kind, 16) for kind in ENSEMBLE_KINDS + ("harmonic",)] + [("zeros", 
 # the fixed-point grids of the acceptance test
 _FIXED_GRIDS = [(r, s) for r in (2, 5, 10) for s in (1, 2, 3)]
 _FIXED_SEEDS = (0, 11, 2026)
+# two equal rotations (r = 2, s = 1): the only command here whose energy is inf
+_COINCIDENT = {"meta": {"ensemble": "uniform", "r": 2, "s": 1, "seed": None}, "matrices": [[1, 0, 0, 0, 1, 0, 0, 0, 1]] * 2}
 
 
 def _digest(*parts):
@@ -69,6 +72,10 @@ def _commands():
             yield " ".join(argv), lambda a=argv, p=path: _cli(a, written=[p])
             argv = ["energy", "--in", path]
             yield " ".join(argv), lambda a=argv: _cli(a)
+    with open("coincident.json", "w") as fh:
+        json.dump(_COINCIDENT, fh)
+    argv = ["energy", "--in", "coincident.json"]
+    yield " ".join(argv), lambda a=argv: _cli(a)
     for kind, r in _MC:
         for fmt in ("json", "csv"):
             argv = ["mc", "--ensemble", kind, "--r", str(r), "--s", "auto", "--trials", "300", "--seed", "3", "--format", fmt]
