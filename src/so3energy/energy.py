@@ -1,8 +1,9 @@
 """Logarithmic energy of rotation configurations and its closed-form expectations.
 
 The energy of O_1..O_n is -(1/2) sum_{i != j} log(6 - 2 trace(O_i^T O_j)).
-Pair sums are reduced over fixed 64x64 index tiles with an exact (fsum)
-combination of tile partials, so the value never depends on thread count.
+Every pair sum walks the pairs i < j in fixed 64-row bands (_band_pairs):
+each band's values are summed pairwise and the band partials combined
+exactly (fsum), so the value never depends on thread count or batch size.
 
 Fiber-pair identity. Take r fibers of s rotations, fiber i being
 H_i R(phi_i + 2 pi k / s) with H_i e3 = p_i. For fibers i < j put
@@ -18,8 +19,8 @@ q = sqrt(1 - t), y = x^s, x = (sqrt 2 - q) / (sqrt 2 + q). The first term is
 the phase average, so the energy is predicted_energy(points, s) minus s times
 the sum of the second, mean-zero term over fiber pairs: a few transcendental
 functions per fiber pair for any s, against s^2 logs per fiber pair for the
-direct pair sum. fiber_pair_energies walks the fiber pairs in the 64-row
-bands of the direct route and combines its band partials with fsum too.
+direct pair sum. fiber_pair_energies walks the fiber pairs in the same
+64-row bands as the direct route.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .construct import Configuration
 from .geometry import _unit_points, first_non_rotation
 from .quadrature import integrate
 
-_TILE = 64
+_BAND = 64
 # squared-distance threshold under which a pair counts as coincident
 COINCIDENCE_TOL = 1e-14
 # band entries (trials x min(r, 64) x r) fiber_pair_energies handles at once;
@@ -45,55 +46,44 @@ _LOG2 = math.log(2.0)
 _SQRT2 = math.sqrt(2.0)
 
 
-@lru_cache(maxsize=32)
-def _upper_flat(m, w):
-    """Row-major flat indices of the entries (i, j), j > i, of an m x w array.
-
-    Cached, read-only: a run asks for the same two tile sizes and the
-    ceil(r / 64) band shapes of one fiber count over and over; the bound
-    keeps a sweep over r from holding every shape (0.5 MB each at r = 1029).
-    """
-    iu = np.triu_indices(m, 1, w)
-    flat = iu[0] * w + iu[1]
+@lru_cache(maxsize=_BAND)
+def _head_index(m):
+    """Flat indices j m + i of the pairs i < j of an m x m block stored
+    transposed (entry [j, i]), in the row-major order of (i, j). Read-only."""
+    i, j = np.triu_indices(m, 1)
+    flat = j * m + i
     flat.setflags(write=False)
     return flat
 
 
-def _upper_tiles(band, b, n):
-    """The strict upper triangle of a (b, n, n) batch, as (b, k) tiles of at
-    most 64x64 entries, in a fixed order: each tile row starts with its
-    diagonal tile. band(a0, a1) gives rows a0..a1-1 against columns a0..n-1,
-    shape (b, a1 - a0, n - a0), formed only when the iteration reaches it."""
-    for a0 in range(0, n, _TILE):
-        a1 = min(a0 + _TILE, n)
-        m = a1 - a0
-        strip = band(a0, a1)
-        # a C-contiguous (b, k) gather, so every row is summed pairwise
-        yield np.take(strip[:, :, :m].reshape(b, m * m), _upper_flat(m, m), axis=1)
-        for c0 in range(m, n - a0, _TILE):
-            yield strip[:, :, c0 : c0 + _TILE].reshape(b, -1)
+def _bands(n):
+    """(a0, a1) of the 64-row bands of n items that hold the pairs i < j,
+    and one empty band when there is no pair."""
+    for a0 in range(0, max(n - 1, 1), _BAND):
+        yield a0, min(a0 + _BAND, n)
 
 
-def _upper_tile_sums(band, b, n, f):
-    """Sum of f over the strict upper triangle of each (n, n) slice of the
-    (b, n, n) batch whose bands band(a0, a1) gives (see _upper_tiles).
+def _band_pairs(op, u, vt, a0, a1):
+    """op over the pairs i < j with a0 <= i < a1 of b batches of n items, as
+    a C-contiguous (b, k) array whose rows numpy sums pairwise.
 
-    Returns (sums, mins) with shape (b,), mins being the smallest entry
-    visited. Tile partials are combined with fsum per batch row, so the
-    value never depends on outer parallelism. Within a tile numpy sums each
-    row pairwise, so a slice gives the same bits whatever the batch size.
-    With one tile (n <= 64) the fsum of a row is its partial, save that
-    fsum turns -0.0 into 0.0, as adding 0.0 does.
+    Entry (i, j) is op(u[:, j], vt[:, :, i]): u is (b, n, p) and vt (b, p, n),
+    so np.matmul gives u_j . v_i and np.subtract, on (b, n, 1) and (b, 1, n)
+    views, gives u_j - v_i. The band is formed transposed, items a0..n-1
+    against a0..a1-1. Its m x m head, m = a1 - a0, goes through a gather in
+    the order (i, j); the tail, items a1..n-1, holds only pairs i < j, and op
+    writes it straight into the rest of each row, ordered (j, i).
     """
-    if n < 2:
-        return np.zeros(b), np.full(b, np.inf)
-    partials = []
-    mins = np.full(b, np.inf)
-    for vals in _upper_tiles(band, b, n):
-        if vals.shape[1]:
-            mins = np.minimum(mins, vals.min(axis=1))
-            partials.append(f(vals).sum(axis=1))
-    return _fsum_rows(partials), mins
+    b, n = u.shape[:2]
+    m = a1 - a0
+    head = _head_index(m)
+    h = len(head)
+    out = np.empty((b, h + (n - a1) * m))
+    v = vt[:, :, a0:a1]
+    # with its default mode="raise", take would fill a buffer and copy it to out
+    np.take(op(u[:, a0:a1], v).reshape(b, m * m), head, axis=1, out=out[:, :h], mode="clip")
+    op(u[:, a1:], v, out=out[:, h:].reshape(b, n - a1, m))
+    return out
 
 
 def _fsum_rows(partials):
@@ -110,20 +100,21 @@ def pair_log_sums(rows):
     smallest pair squared distances, each of shape (b,).
 
     rows is a (b, n, 9) batch of n rotations flattened row-major. The squared
-    distances 6 - 2 <O_i, O_j> are formed one 64-row band at a time as the
-    tiled reducer reads them, so the largest array is (b, 64, n) and no
-    n x n array is ever built.
+    distances 6 - 2 <O_i, O_j> are formed one 64-row band at a time, so the
+    largest array holds b x 64 x n pairs and no n x n array is ever built.
+    Each band's logs are summed pairwise and the band partials combined with
+    fsum per batch row, so a trial gives the same bits alone and in a batch.
     """
-    b, n, _ = rows.shape
-
-    def band(a0, a1):
-        d = rows[:, a0:a1] @ rows[:, a0:].transpose(0, 2, 1)
+    partials = []
+    mins = np.inf
+    for a0, a1 in _bands(rows.shape[1]):
+        d = _band_pairs(np.matmul, rows, rows.transpose(0, 2, 1), a0, a1)
         d *= -2.0
         d += 6.0
-        return d
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _upper_tile_sums(band, b, n, np.log)
+        mins = np.minimum(mins, d.min(axis=1, initial=np.inf))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            partials.append(np.log(d).sum(axis=1))
+    return _fsum_rows(partials), mins
 
 
 def log_energy(config):
@@ -167,10 +158,12 @@ def sphere_kernel(t):
 def sphere_kernel_energy(points):
     """Sum of sphere_kernel over ordered pairs of distinct indices. The points
     must be finite unit vectors (norm within 1e-10 of 1)."""
-    pts = _unit_points(points)
-    g = np.clip(pts @ pts.T, -1.0, 1.0)[None]
-    sums, _ = _upper_tile_sums(lambda a0, a1: g[:, a0:a1, a0:], 1, len(pts), sphere_kernel)
-    return 2.0 * float(sums[0])
+    pts = _unit_points(points)[None]
+    partials = [
+        sphere_kernel(np.clip(_band_pairs(np.matmul, pts, pts.transpose(0, 2, 1), a0, a1), -1.0, 1.0)).sum(axis=1)
+        for a0, a1 in _bands(pts.shape[1])
+    ]
+    return 2.0 * float(_fsum_rows(partials)[0])
 
 
 def fibered_energy(r, s, kernel_energy):
@@ -213,18 +206,18 @@ def fiber_pair_energies(frames, phases, s):
     energy is the phase average fibered_energy of the base points
     frames[k, :, :, 2] minus s times the fluctuation logs summed over fiber
     pairs. The pairs i < j are visited in the 64-row bands of the direct
-    route: fibers a0..a1-1 against a0..r-1, three (b, 64, r - a0) products
-    per band, so the largest array grows as 64 r, not r^2. Each band's
-    kernel and fluctuation terms are summed pairwise, and a trial's band
-    partials are combined with fsum, as the direct route combines its tile
-    partials; with r <= 64 the one band's pairwise sum is the sum. A fiber
+    route: fibers a0..a1-1 against a0..r-1, three products and one phase
+    difference per band, so the largest array grows as 64 r, not r^2. Each
+    band's kernel and fluctuation terms are summed pairwise, and a trial's
+    band partials are combined with fsum, as on the direct route; with
+    r <= 64 the one band's pairwise sum is the sum. A fiber
     pair's smallest squared distance is a - b cos(dist(theta, 2 pi Z / s));
     the returned minima also cover the within-fiber 4 - 4 cos(2 pi / s).
     """
     frames = np.asarray(frames, dtype=float)
     phases = np.asarray(phases, dtype=float)
     nb, r = phases.shape
-    group = max(1, _FIBER_GROUP // (min(r, _TILE) * r))
+    group = max(1, _FIBER_GROUP // (min(r, _BAND) * r))
     if nb > group:
         parts = [fiber_pair_energies(frames[k : k + group], phases[k : k + group], s) for k in range(0, nb, group)]
         return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
@@ -232,25 +225,15 @@ def fiber_pair_energies(frames, phases, s):
     cols = frames[..., :2]
     a = cols.reshape(nb, r, 6)
     b = (cols[..., ::-1] * (1.0, -1.0)).reshape(nb, r, 6)
+    at = a.transpose(0, 2, 1)
     step = 2.0 * math.pi / s
     kernels, flucts = [], []
     dmin = np.full(nb, 8.0 * math.sin(math.pi / s) ** 2 if s > 1 else math.inf)
-    for a0 in range(0, r, _TILE):
-        a1 = min(a0 + _TILE, r)
-        flat = _upper_flat(a1 - a0, r - a0)
-
-        def pairs(x):
-            # the band's entries i < j, a contiguous run of the row-major pair
-            # order, as C-contiguous (b, k) rows
-            return np.take(x.reshape(nb, -1), flat, axis=1)
-
-        def band(x, y):
-            return pairs(x[:, a0:a1] @ y[:, a0:].transpose(0, 2, 1))
-
-        t = np.clip(band(pts, pts), -1.0, 1.0)
-        # a @ a^T holds m11 + m22 and a @ b^T holds m12 - m21 of H_i^T H_j
-        psi = np.arctan2(band(a, b), band(a, a))
-        theta = pairs(phases[:, None, a0:] - phases[:, a0:a1, None]) - psi
+    for a0, a1 in _bands(r):
+        t = np.clip(_band_pairs(np.matmul, pts, pts.transpose(0, 2, 1), a0, a1), -1.0, 1.0)
+        # a_i . a_j is m11 + m22 and a_i . b_j is m12 - m21 of H_i^T H_j
+        psi = np.arctan2(_band_pairs(np.matmul, b, at, a0, a1), _band_pairs(np.matmul, a, at, a0, a1))
+        theta = _band_pairs(np.subtract, phases[:, :, None], phases[:, None, :], a0, a1) - psi
         # theta less its nearest multiple of 2 pi / s: |u| = dist(theta, 2 pi Z / s),
         # and sin^2(s u / 2) = sin^2(s theta / 2), with small arguments for sin
         u = theta - step * np.rint(theta / step)

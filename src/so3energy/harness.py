@@ -80,10 +80,11 @@ class EstimateReport:
 
 
 def chunk_size(n):
-    """Trials per chunk: at most 4096, and few enough that a (b, n, n) float
-    batch would fit in 32 MB, with at least one trial. No such batch is
-    built: the direct route forms it in (b, 64, n) row bands, and resampled
-    trials with s >= 3 in (b, 64, r) bands of fiber pairs."""
+    """Trials per chunk: 2^25 / (8 n^2), at most 4096 and at least one. The
+    direct route's largest array, a (b, n, 64) band of pair distances, then
+    takes at most 32 MiB * 64 / n for 64 <= n <= 2048 (2 MiB at n = 1024),
+    one trial's 512 n bytes beyond, and at most 16 MiB as the single band of
+    n <= 64; the bands of fiber pairs hold r = n / s columns."""
     return max(1, min(4096, 2**25 // (8 * n * n)))
 
 
@@ -95,9 +96,9 @@ def _chunk_energies(args):
     rows from one fiber_matrices broadcast. A resampled trial draws its
     points first from the same stream, so those trials run one Generator
     each; with s >= 3 they take fiber_pair_energies, the whole chunk in one
-    call that walks each trial's fiber pairs in 64-row bands and combines
-    the band partials with fsum. The rest take the direct pair sum over their
-    rotation rows. The identity costs about as much per fiber pair as the
+    call. The rest take the direct pair sum over their rotation rows. Both
+    routes walk a trial's pairs in the same 64-row bands and combine the band
+    partials with fsum. The identity costs about as much per fiber pair as the
     direct sum spends on nine rotation pairs, so with s <= 2 (at most four)
     it is slower once r passes a few dozen; fixed-point runs check the
     identity's phase average, so computing them through it would make the

@@ -33,7 +33,7 @@ from .ensembles import (
     sample_spherical_ensemble,
     sample_uniform,
 )
-from .geometry import haar_rotations, so3_dist_sq
+from .geometry import _unit_quaternions, haar_rotations, quaternion_matrix, so3_dist_sq
 from .harness import ExperimentConfig, run_experiment
 from .quadrature import integrate
 from .specfun import (
@@ -48,6 +48,8 @@ from .specfun import (
 from .streams import DOMAIN_POINTS, keyed_stream
 
 _FIXTURES = os.path.join(os.path.dirname(__file__), "_verify_fixtures.json")
+# Haar pairs per chunk of the kappa check
+_KAPPA_CHUNK = 2**16
 
 
 @dataclass(frozen=True)
@@ -66,9 +68,14 @@ def _check_kappa(fast):
     quad_err = abs(cn.kappa_quadrature() - k)
     npairs = 200_000 if fast else 1_000_000
     rng = keyed_stream(2026, DOMAIN_POINTS)
-    a = haar_rotations(rng, npairs)
-    b = haar_rotations(rng, npairs)
-    x = np.log(so3_dist_sq(a, b))
+    # the a draws, then the b draws, as two haar_rotations calls would take
+    # them; the rotations and distances are formed in chunks
+    qa = _unit_quaternions(rng, npairs)
+    qb = _unit_quaternions(rng, npairs)
+    x = np.empty(npairs)
+    for lo in range(0, npairs, _KAPPA_CHUNK):
+        hi = lo + _KAPPA_CHUNK
+        x[lo:hi] = np.log(so3_dist_sq(quaternion_matrix(qa[lo:hi]), quaternion_matrix(qb[lo:hi])))
     est = -x.mean() / 2.0
     se = x.std(ddof=1) / 2.0 / math.sqrt(npairs)
     z = (est - k) / se

@@ -15,10 +15,11 @@ import pytest
 from so3energy.construct import ConfigMeta, Configuration, build_configuration, fiber_energy_closed_form, fiber_matrices
 from so3energy.energy import (
     COINCIDENCE_TOL,
+    _band_pairs,
+    _bands,
     _fluctuation_logs,
+    _fsum_rows,
     fibered_energy,
-    _upper_tile_sums,
-    _upper_tiles,
     circle_average,
     circle_average_quadrature,
     fiber_pair_energies,
@@ -84,43 +85,36 @@ def test_pair_log_sums_batched_matches_loop():
 
 class _SumFromNegativeZero(np.ndarray):
     """Row sums that start from -0.0 (numpy's start from 0.0), so that a row
-    of -0.0 values gives a -0.0 tile partial."""
+    of -0.0 values gives a -0.0 band partial."""
 
     def sum(self, axis=None):
         return np.add.reduce(self.view(np.ndarray), axis=axis, initial=-0.0)
 
 
-def _fsum_per_row(band, b, n, f):
-    """The tile partials of the bands under f, combined by one math.fsum per batch row."""
-    stacked = np.stack([f(vals).sum(axis=1) for vals in _upper_tiles(band, b, n) if vals.shape[1]], axis=1)
-    return np.array([math.fsum(row) for row in stacked]), stacked
-
-
-def _row_bands(rows):
-    # squared distances of (b, n, 9) rotation rows, band by band, as pair_log_sums forms them
-    return lambda a0, a1: 6.0 - 2.0 * (rows[:, a0:a1] @ rows[:, a0:].transpose(0, 2, 1))
-
-
-def _gram_bands(points):
-    # slices of the clipped Gram of (b, n, 3) points, as sphere_kernel_energy reads it
-    g = np.clip(points @ points.transpose(0, 2, 1), -1.0, 1.0)
-    return lambda a0, a1: g[:, a0:a1, a0:]
+def _band_walk(data, pair_map, f):
+    """Each band's pairs of the (b, n, p) data, as the pair sums form them
+    (np.matmul, then pair_map), and the (b, bands) partials of f over them."""
+    xt = data.transpose(0, 2, 1)
+    bands = [pair_map(_band_pairs(np.matmul, data, xt, a0, a1)) for a0, a1 in _bands(data.shape[1])]
+    return bands, np.stack([f(vals).sum(axis=1) for vals in bands], axis=1)
 
 
 def _band_source(source, n, rng):
-    """(bands, f, data) for 1024 batch rows whose rows 0 and 1 hold a pair
+    """(pair_map, f, data) for 1024 batch rows whose rows 0 and 1 hold a pair
     with f = -inf (a coincident pair of rotations, an antipodal pair of
-    points) and a nan entry."""
+    points) and a nan entry: the squared distances of rotation rows under
+    log, as pair_log_sums takes them, or the clipped Gram of points under
+    log1p, a sphere-kernel-like pair sum."""
     if source == "rows":
         data = haar_rotations(rng, 1024 * n).reshape(1024, n, 9)
         data[0, 0] = data[0, n - 1] = np.eye(3).reshape(9)
         data[1, n // 2, 4] = np.nan
-        return _row_bands, np.log, data
+        return (lambda g: 6.0 - 2.0 * g), np.log, data
     data = rng.standard_normal((1024, n, 3))
     data /= np.linalg.norm(data, axis=2, keepdims=True)
     data[0, 0], data[0, n - 1] = (0.0, 0.0, 1.0), (0.0, 0.0, -1.0)
     data[1, n // 2, 1] = np.nan
-    return _gram_bands, np.log1p, data
+    return (lambda g: np.clip(g, -1.0, 1.0)), np.log1p, data
 
 
 @pytest.mark.parametrize(
@@ -129,22 +123,37 @@ def _band_source(source, n, rng):
     + [pytest.param("gram", n, id=f"gram-{n}") for n in (2, 30, 64, 65, 200)],
 )
 def test_upper_tile_sums_equal_per_row_fsum_bit_for_bit(source, n):
-    # batch rows 0..2 hold an f = -inf pair, a nan entry and, through f, only
-    # -0.0 values; b = 1024, the first 7 rows, and each of them alone. The
-    # bands are those of pair_log_sums (rows) and sphere_kernel_energy (gram).
+    # the band walk's pair sums are one math.fsum per batch row of its band
+    # partials, bit for bit. Batch rows 0..2 hold an f = -inf pair, a nan
+    # entry and, through f, only -0.0 values; b = 1024, the first 7 rows, and
+    # each of them alone.
     rng = np.random.default_rng(45 + n)
-    bands, g, data = _band_source(source, n, rng)
+    pair_map, g, data = _band_source(source, n, rng)
     negative_zero = np.zeros(1024, dtype=bool)
     negative_zero[2] = True
+    iu = np.triu_indices(n, 1)
 
     for lo, hi in [(0, 1024), (0, 7)] + [(k, k + 1) for k in range(7)]:
-        band = bands(data[lo:hi])
+        x = data[lo:hi]
         nz = negative_zero[lo:hi, None]
         f = lambda vals: np.where(nz, -0.0, g(vals)).view(_SumFromNegativeZero)
         with np.errstate(divide="ignore", invalid="ignore"):
-            sums, _ = _upper_tile_sums(band, hi - lo, n, f)
-            want, partials = _fsum_per_row(band, hi - lo, n, f)
+            bands, partials = _band_walk(x, pair_map, f)
+            sums = _fsum_rows(list(partials.T))
+            if source == "rows":
+                # pair_log_sums is that walk under log
+                got, mins = pair_log_sums(x)
+                _, log_partials = _band_walk(x, pair_map, np.log)
+                assert np.array_equal(got.view(np.uint64), _fsum_rows(list(log_partials.T)).view(np.uint64))
+                assert np.array_equal(mins, np.min(np.concatenate(bands, axis=1), axis=1), equal_nan=True)
+        want = np.array([math.fsum(row) for row in partials])
         assert np.array_equal(sums.view(np.uint64), want.view(np.uint64)), (lo, hi)
+        if hi - lo <= 7:
+            # the bands hold each pair i < j once; BLAS may round a product
+            # of the full (n, n) array in another order
+            full = pair_map(x @ x.transpose(0, 2, 1))[:, iu[0], iu[1]]
+            walked = np.concatenate(bands, axis=1)
+            np.testing.assert_allclose(np.sort(walked, axis=1), np.sort(full, axis=1), rtol=0.0, atol=1e-15)
         if hi - lo > 2:
             assert want[0] == -math.inf and math.isnan(want[1])
             assert np.all(np.signbit(partials[2])) and want[2] == 0.0 and not np.signbit(want[2])
@@ -262,6 +271,27 @@ def test_sphere_kernel_energy_matches_brute_force():
             if i != j:
                 brute += sphere_kernel(float(pts[i] @ pts[j]))
     assert sphere_kernel_energy(pts) == pytest.approx(brute, rel=1e-12)
+
+
+def test_sphere_kernel_energy_builds_no_r_by_r_array():
+    # r = 4000: the full Gram and its kernel peaked at 244 MiB; the 64-row
+    # bands stay under 16 MiB. At r = 150 (three bands) the value matches the
+    # sum over the full Gram.
+    import tracemalloc
+
+    rng = np.random.default_rng(50)
+    pts = sample_points("uniform", 4000, rng)
+    tracemalloc.start()
+    try:
+        energy = sphere_kernel_energy(pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert np.isfinite(energy)
+    small = pts[:150]
+    g = np.clip(small @ small.T, -1.0, 1.0)[np.triu_indices(150, 1)]
+    assert sphere_kernel_energy(small) == pytest.approx(2.0 * math.fsum(sphere_kernel(g)), rel=1e-13)
 
 
 @pytest.mark.parametrize("bad", [[0.0, 0.0, 2.0], [math.nan, 0.0, 0.0]])
@@ -492,6 +522,37 @@ def test_fiber_route_memory_grows_as_64_r():
         tracemalloc.stop()
     assert np.isfinite(energies[0])
     assert peak < 4 * 2**20
+
+
+def test_fiber_pair_energy_past_32_bands_matches_log_energy():
+    # r = 2100: 33 bands, one more than the band shapes a 32-entry index
+    # cache held
+    rng = np.random.default_rng(51)
+    r, s = 2100, 3
+    frames = base_frames(sample_points("uniform", r, rng))
+    phases = rng.uniform(0.0, 2.0 * math.pi, r)
+    e, _ = _fiber_route(frames, phases, s)
+    assert e == pytest.approx(log_energy(fiber_matrices(frames, phases, s).reshape(-1, 3, 3)), rel=1e-12)
+
+
+def test_fiber_route_memory_at_r_3000():
+    # a warm single trial at r = 3000, s = 14: an index per band shape,
+    # rebuilt on every call, peaked at 38.5 MiB; the bands' own arrays take
+    # about 22 MiB
+    import tracemalloc
+
+    rng = np.random.default_rng(52)
+    frames = haar_rotations(rng, 3000)[None]
+    phases = rng.uniform(0.0, 2.0 * math.pi, (1, 3000))
+    fiber_pair_energies(frames, phases, 14)
+    tracemalloc.start()
+    try:
+        energies, _ = fiber_pair_energies(frames, phases, 14)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(energies[0])
+    assert peak < 28 * 2**20
 
 
 def test_fiber_pair_energies_batch_equals_single_trials():

@@ -27,15 +27,17 @@ from so3energy.ensembles import ENSEMBLE_KINDS, EnsembleSpec  # noqa: E402
 from so3energy.harness import ExperimentConfig, run_experiment  # noqa: E402
 
 # (kind, r, s) for the generate -> energy round trips; r = 40 with the optimal
-# count crosses the 64-wide tiles of the pair reducer
+# count spans several 64-row bands of the pair sum
 _GENERATE = [(kind, r, s) for kind in ENSEMBLE_KINDS for r, s in ((7, "3"), (40, "auto"))]
 _MC = [(kind, 9 if kind == "eap" else 6) for kind in ENSEMBLE_KINDS]
-# a resampled s = 2 run takes the direct pair sum; n = 80 crosses the 64-wide
-# tiles, so each trial's energy is an fsum of several tile partials
-_MC_TILED = ["mc", "--ensemble", "zeros", "--r", "40", "--s", "2", "--trials", "200", "--seed", "3"]
+# a resampled s = 2 run takes the direct pair sum; n = 80 spans two 64-row
+# bands, so each trial's energy is an fsum of band partials
+_MC_DIRECT = ["mc", "--ensemble", "zeros", "--r", "40", "--s", "2", "--trials", "200", "--seed", "3"]
 # a resampled zeros run at s = 8 takes the fiber-pair identity; r = 96 fibers
 # span two 64-row bands, so each trial's energy is an fsum of band partials
 _MC_BANDED = ["mc", "--ensemble", "zeros", "--r", "96", "--s", "auto", "--trials", "50", "--seed", "3"]
+# r = 2100 fibers span 33 bands, more band shapes than a cache of 32 held
+_MC_WIDE = ["mc", "--ensemble", "uniform", "--r", "2100", "--s", "3", "--trials", "2", "--seed", "3"]
 _PREDICT = [(kind, 16) for kind in ENSEMBLE_KINDS + ("harmonic",)] + [("zeros", 256)]
 # the fixed-point grids of the acceptance test
 _FIXED_GRIDS = [(r, s) for r in (2, 5, 10) for s in (1, 2, 3)]
@@ -80,8 +82,8 @@ def _commands():
         for fmt in ("json", "csv"):
             argv = ["mc", "--ensemble", kind, "--r", str(r), "--s", "auto", "--trials", "300", "--seed", "3", "--format", fmt]
             yield " ".join(argv), lambda a=argv: _cli(a)
-    yield " ".join(_MC_TILED), lambda: _cli(_MC_TILED)
-    yield " ".join(_MC_BANDED), lambda: _cli(_MC_BANDED)
+    for argv in (_MC_DIRECT, _MC_BANDED, _MC_WIDE):
+        yield " ".join(argv), lambda a=argv: _cli(a)
     for kind, r in _PREDICT:
         argv = ["predict", "--ensemble", kind, "--r", str(r), "--s", "auto"]
         yield " ".join(argv), lambda a=argv: _cli(a)
