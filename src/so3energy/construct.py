@@ -50,15 +50,16 @@ class Configuration:
         return first_non_rotation(self.matrices)
 
 
-def fiber_matrices(frames, phases, s):
+def fiber_matrices(frames, phases, s, out=None):
     """Vectorized fiber construction: frames (..., r, 3, 3) and phases (..., r)
     -> (..., r*s, 9) rows.
 
     Row i*s+j is frames[i] @ R(2 pi (j+1)/s + phases[i]) flattened row-major.
     Columns 1 and 2 of each product mix the frame's first two columns by the
-    angle; column 3 is the frame's third column unchanged. Leading axes
-    broadcast, so one (r, 3, 3) set of frames takes a (b, r) batch of phases;
-    every row has the bits of the unbatched call.
+    angle, each formed in place; column 3 is the frame's third column
+    unchanged. Leading axes broadcast, so one (r, 3, 3) set of frames takes a
+    (b, r) batch of phases; every row has the bits of the unbatched call. The
+    rows are the start of the flat float buffer out when one is given.
     """
     frames = np.asarray(frames, dtype=float)
     phases = np.asarray(phases, dtype=float)
@@ -66,9 +67,13 @@ def fiber_matrices(frames, phases, s):
     ang = phases[..., None] + _TWO_PI * np.arange(1, s + 1) / s
     c, sn = np.cos(ang)[..., None], np.sin(ang)[..., None]
     h0, h1 = frames[..., None, :, 0], frames[..., None, :, 1]
-    out = np.empty(lead + (s, 3, 3))
-    out[..., 0] = h0 * c + h1 * sn
-    out[..., 1] = -h0 * sn + h1 * c
+    shape = lead + (s, 3, 3)
+    out = np.empty(shape) if out is None else out[: math.prod(shape)].reshape(shape)
+    # h0 c + h1 sn and -h0 sn + h1 c, with the bits of those expressions
+    np.multiply(h0, c, out=out[..., 0])
+    out[..., 0] += h1 * sn
+    np.multiply(h1, c, out=out[..., 1])
+    out[..., 1] -= h0 * sn
     out[..., 2] = frames[..., None, :, 2]
     return out.reshape(lead[:-1] + (lead[-1] * s, 9))
 

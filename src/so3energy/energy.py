@@ -41,6 +41,8 @@ COINCIDENCE_TOL = 1e-14
 # every value is computed per trial, so the grouping only keeps its arrays in
 # cache
 _FIBER_GROUP = 2**14
+# head entries (batches x m x m) _band_pairs forms at once
+_HEAD_BLOCK = 2**17
 
 _LOG2 = math.log(2.0)
 _SQRT2 = math.sqrt(2.0)
@@ -63,25 +65,41 @@ def _bands(n):
         yield a0, min(a0 + _BAND, n)
 
 
-def _band_pairs(op, u, vt, a0, a1):
+def band_len(n):
+    """Pairs per batch row in the first, and largest, 64-row band of n items:
+    the length per batch row of a pair_log_sums buffer."""
+    m = min(n, _BAND)
+    return m * (m - 1) // 2 + (n - m) * m
+
+
+def _band_pairs(op, u, vt, a0, a1, out=None):
     """op over the pairs i < j with a0 <= i < a1 of b batches of n items, as
     a C-contiguous (b, k) array whose rows numpy sums pairwise.
 
     Entry (i, j) is op(u[:, j], vt[:, :, i]): u is (b, n, p) and vt (b, p, n),
     so np.matmul gives u_j . v_i and np.subtract, on (b, n, 1) and (b, 1, n)
     views, gives u_j - v_i. The band is formed transposed, items a0..n-1
-    against a0..a1-1. Its m x m head, m = a1 - a0, goes through a gather in
-    the order (i, j); the tail, items a1..n-1, holds only pairs i < j, and op
-    writes it straight into the rest of each row, ordered (j, i).
+    against a0..a1-1. Its m x m head, m = a1 - a0, is formed for a block of
+    about 2^17 entries of batches at a time, in one block buffer, and goes
+    through a gather in the order (i, j); the tail, items a1..n-1, holds only
+    pairs i < j, and op writes it straight into the rest of each row, ordered
+    (j, i). The (b, k) array is the start of the flat buffer out when one is
+    given (it needs b k entries), and a new array otherwise.
     """
     b, n = u.shape[:2]
     m = a1 - a0
     head = _head_index(m)
     h = len(head)
-    out = np.empty((b, h + (n - a1) * m))
+    k = h + (n - a1) * m
+    out = np.empty((b, k)) if out is None else out[: b * k].reshape(b, k)
     v = vt[:, :, a0:a1]
-    # with its default mode="raise", take would fill a buffer and copy it to out
-    np.take(op(u[:, a0:a1], v).reshape(b, m * m), head, axis=1, out=out[:, :h], mode="clip")
+    block = max(1, _HEAD_BLOCK // max(m * m, 1))
+    square = np.empty((min(b, block), m, m))
+    for k0 in range(0, b, block):
+        k1 = min(k0 + block, b)
+        sq = op(u[k0:k1, a0:a1], v[k0:k1], out=square[: k1 - k0])
+        # with its default mode="raise", take would fill a buffer and copy it to out
+        np.take(sq.reshape(k1 - k0, m * m), head, axis=1, out=out[k0:k1, :h], mode="clip")
     op(u[:, a1:], v, out=out[:, h:].reshape(b, n - a1, m))
     return out
 
@@ -95,25 +113,33 @@ def _fsum_rows(partials):
     return np.array(list(map(math.fsum, stacked.tolist())))
 
 
-def pair_log_sums(rows):
+def pair_log_sums(rows, out=None):
     """Sums over unordered pairs of log squared distance, batched, and the
     smallest pair squared distances, each of shape (b,).
 
     rows is a (b, n, 9) batch of n rotations flattened row-major. The squared
-    distances 6 - 2 <O_i, O_j> are formed one 64-row band at a time, so the
-    largest array holds b x 64 x n pairs and no n x n array is ever built.
-    Each band's logs are summed pairwise and the band partials combined with
-    fsum per batch row, so a trial gives the same bits alone and in a batch.
+    distances 6 - 2 <O_i, O_j> are formed one 64-row band at a time in one
+    buffer of b band_len(n) entries, sized for the first and largest band,
+    and their logs are taken in place: the largest array holds b x 64 x n
+    pairs, no two bands and no copy of their logs are alive at once, and no
+    n x n array is ever built. out, a flat float array of at least that
+    length, serves as the buffer when given. Each band's logs are summed
+    pairwise and the band partials combined with fsum per batch row, so a
+    trial gives the same bits alone and in a batch.
     """
+    b, n = rows.shape[:2]
+    if out is None:
+        out = np.empty(b * band_len(n))
+    rows_t = rows.transpose(0, 2, 1)
     partials = []
     mins = np.inf
-    for a0, a1 in _bands(rows.shape[1]):
-        d = _band_pairs(np.matmul, rows, rows.transpose(0, 2, 1), a0, a1)
+    for a0, a1 in _bands(n):
+        d = _band_pairs(np.matmul, rows, rows_t, a0, a1, out)
         d *= -2.0
         d += 6.0
         mins = np.minimum(mins, d.min(axis=1, initial=np.inf))
         with np.errstate(divide="ignore", invalid="ignore"):
-            partials.append(np.log(d).sum(axis=1))
+            partials.append(np.log(d, out=d).sum(axis=1))
     return _fsum_rows(partials), mins
 
 

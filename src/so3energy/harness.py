@@ -18,7 +18,7 @@ import numpy as np
 
 from .constants import _energy_prediction
 from .construct import fiber_matrices
-from .energy import COINCIDENCE_TOL, fiber_pair_energies, pair_log_sums
+from .energy import COINCIDENCE_TOL, band_len, fiber_pair_energies, pair_log_sums
 from .ensembles import EnsembleSpec, sample_points
 from .geometry import base_frames
 from .streams import DOMAIN_POINTS, DOMAIN_TRIAL, keyed_stream, keyed_uniforms
@@ -80,11 +80,16 @@ class EstimateReport:
 
 
 def chunk_size(n):
-    """Trials per chunk: 2^25 / (8 n^2), at most 4096 and at least one. The
-    direct route's largest array, a (b, n, 64) band of pair distances, then
-    takes at most 32 MiB * 64 / n for 64 <= n <= 2048 (2 MiB at n = 1024),
-    one trial's 512 n bytes beyond, and at most 16 MiB as the single band of
-    n <= 64; the bands of fiber pairs hold r = n / s columns."""
+    """Trials per chunk: 2^25 / (8 n^2), at most 4096 and at least one.
+
+    A direct-route chunk of b trials holds one workspace of
+    b (9 n + band_len(n)) doubles, its rotation rows and its first and
+    largest band of pair distances, beside a head block of at most 1 MiB
+    and fiber_matrices' temporaries. A warm fixed-point chunk peaks under
+    tracemalloc at 28 MiB for n = 30 and 31 MiB for n = 32 (4096 trials),
+    24 MiB for n = 64, 16 MiB for n = 128, 9.7 MiB for n = 256, 2.5 MiB for
+    n = 1024 and 1.3 MiB for n = 2048: at most 32 MiB, falling about as 1/n
+    above n = 64. The bands of fiber pairs hold r = n / s columns."""
     return max(1, min(4096, 2**25 // (8 * n * n)))
 
 
@@ -105,20 +110,26 @@ def _chunk_energies(args):
     check circular.
     """
     kind, r, s, master_seed, lo, hi, frames = args
+    b, n = hi - lo, r * s
     if frames is not None:
         phases = keyed_uniforms(master_seed, DOMAIN_TRIAL, np.arange(lo, hi), r, _TWO_PI)
-        rows = fiber_matrices(frames, phases, s)
     else:
-        hs = np.empty((hi - lo, r, 3, 3))
-        phases = np.empty((hi - lo, r))
+        frames = np.empty((b, r, 3, 3))
+        phases = np.empty((b, r))
         for i, t in enumerate(range(lo, hi)):
             rng = keyed_stream(master_seed, DOMAIN_TRIAL, t)
-            hs[i] = base_frames(sample_points(kind, r, rng))
+            frames[i] = base_frames(sample_points(kind, r, rng))
             phases[i] = rng.uniform(0.0, _TWO_PI, r)
         if s >= 3:
-            return fiber_pair_energies(hs, phases, s)
-        rows = fiber_matrices(hs, phases, s)
-    sums, mins = pair_log_sums(rows)
+            return fiber_pair_energies(frames, phases, s)
+    # one workspace for the chunk: its rotation rows, then the band buffer.
+    # As separate arrays, the largest block glibc frees would be too small to
+    # hold its heap trim threshold up, so each chunk would fault its pages
+    # back in: 1,833 minor faults per nine-grid round of 1,024 trials, 0 with
+    # the workspace
+    work = np.empty(b * (9 * n + band_len(n)))
+    rows = fiber_matrices(frames, phases, s, out=work)
+    sums, mins = pair_log_sums(rows, out=work[9 * b * n :])
     return -sums, mins
 
 

@@ -26,9 +26,10 @@ DOMAIN_TRIAL = 3
 _MASK64 = (1 << 64) - 1
 _INDEX_BITS = 56
 
-# Philox-4x64 round multipliers and Weyl key increments (Random123)
-_M0, _M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
-_W0, _W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
+# Philox-4x64 round multipliers and Weyl key increments (Random123), stacked
+# for counter words 0 and 2 and for key words 0 and 1
+_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64)[:, None, None]
+_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)[:, None, None]
 _ROUNDS = 10
 _LO32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
@@ -55,38 +56,41 @@ def keyed_stream(seed, domain, index=0):
 
 
 def _mulhilo(m, x):
-    """(high, low) 64-bit halves of the 128-bit product of the constant m and
-    the uint64 array x, the high half built from 32-bit partial products."""
-    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    """(high, low) 64-bit halves of the 128-bit products of the uint64 arrays
+    m and x, broadcast, the high half built from 32-bit partial products."""
+    m_lo, m_hi = m & _LO32, m >> _SHIFT32
     x_lo, x_hi = x & _LO32, x >> _SHIFT32
     ll, lh, hl = x_lo * m_lo, x_lo * m_hi, x_hi * m_lo
     mid = (ll >> _SHIFT32) + (lh & _LO32) + (hl & _LO32)
     hi = x_hi * m_hi + (lh >> _SHIFT32) + (hl >> _SHIFT32) + (mid >> _SHIFT32)
-    return hi, x * np.uint64(m)
+    return hi, x * m
 
 
 def keyed_uniforms(seed, domain, indices, count, high):
     """The first `count` uniform doubles on [0, high) of many keyed streams.
 
     Row i equals keyed_stream(seed, domain, indices[i]).uniform(0.0, high,
-    count) bit for bit; the streams' Philox blocks are computed together.
+    count) bit for bit; the streams' Philox blocks are computed together, and
+    each round multiplies counter words 0 and 2 in one stacked call.
     """
     indices = np.asarray(indices)
     if indices.size:
         _check_index(indices.min())
         _check_index(indices.max())
     key0, key1 = _stream_key(seed, domain, 0)
-    key1 = np.uint64(key1) | indices.astype(np.uint64)[:, None]
+    keys = np.empty((2, len(indices), 1), dtype=np.uint64)
+    keys[0] = key0
+    keys[1] = np.uint64(key1) | indices.astype(np.uint64)[:, None]
     nblocks = -(-count // 4)
-    # counter words 1..3 start at zero; word 0 is the block number + 1
-    c0 = np.broadcast_to(np.arange(1, nblocks + 1, dtype=np.uint64), (len(indices), nblocks))
-    c1 = c2 = c3 = np.zeros_like(c0)
+    # counter words (0, 2) and (1, 3); word 0 is the block number + 1, the
+    # others start at zero
+    even = np.zeros((2, len(indices), nblocks), dtype=np.uint64)
+    even[0] = np.arange(1, nblocks + 1, dtype=np.uint64)
+    odd = np.zeros_like(even)
     for rnd in range(_ROUNDS):
         if rnd:
-            key0 = (key0 + _W0) & _MASK64
-            key1 = key1 + np.uint64(_W1)
-        hi0, lo0 = _mulhilo(_M0, c0)
-        hi1, lo1 = _mulhilo(_M1, c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(key0), lo1, hi0 ^ c3 ^ key1, lo0
-    words = np.stack([c0, c1, c2, c3], axis=-1).reshape(len(indices), 4 * nblocks)[:, :count]
+            keys += _W
+        hi, lo = _mulhilo(_M, even)
+        even, odd = hi[::-1] ^ odd ^ keys, lo[::-1]
+    words = np.stack([even[0], odd[0], even[1], odd[1]], axis=-1).reshape(len(indices), 4 * nblocks)[:, :count]
     return 0.0 + high * ((words >> np.uint64(11)).astype(np.float64) * 2.0**-53)

@@ -19,6 +19,7 @@ from so3energy.energy import (
     _bands,
     _fluctuation_logs,
     _fsum_rows,
+    band_len,
     fibered_energy,
     circle_average,
     circle_average_quadrature,
@@ -234,6 +235,74 @@ def test_direct_route_builds_no_n_by_n_array():
     assert banded[0] == pytest.approx(math.fsum(np.log(d2)), rel=1e-13)
     assert banded_mins[0] == pytest.approx(d2.min(), rel=1e-12)
     assert np.isfinite(sums[0]) and mins[0] > 0.0
+
+
+@pytest.mark.parametrize("b, n, limit", [(64, 256, 11.0), (1, 3584, 2.5)])
+def test_pair_log_sums_holds_one_band_and_no_log_copy(b, n, limit):
+    # one buffer sized for the first band holds every band and its logs, and
+    # the heads are formed a block of trials at a time: (64, 256) peaked at
+    # 15.0 MiB with a buffered head gather and a copy for the logs, and now
+    # at 8.5 MiB (a 7.0 MiB band, a 1 MiB head block, its 0.5 MiB gather);
+    # (1, 3584) at 3.5 MiB, now 1.8 MiB (one 1.7 MiB band)
+    import tracemalloc
+
+    rows = haar_rotations(np.random.default_rng(53), b * n).reshape(b, n, 9)
+    pair_log_sums(rows)
+    tracemalloc.start()
+    try:
+        pair_log_sums(rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < limit * 2**20
+
+
+@pytest.mark.parametrize("op", ["matmul", "subtract"])
+@pytest.mark.parametrize("n", [64, 200])
+def test_band_pairs_head_blocks_equal_one_block_bit_for_bit(monkeypatch, op, n):
+    # b = 101 trials of m = 64 heads are four head blocks of 32, the last
+    # holding 5; a single block gives the same bits. Band (0, 64) has a tail
+    # at n = 200 and none at n = 64.
+    from so3energy import energy
+
+    rng = np.random.default_rng(54)
+    b = 101
+    if op == "matmul":
+        u = haar_rotations(rng, b * n).reshape(b, n, 9)
+        vt = u.transpose(0, 2, 1)
+    else:
+        phases = rng.uniform(0.0, 2.0 * math.pi, (b, n))
+        u, vt = phases[:, :, None], phases[:, None, :]
+    f = getattr(np, op)
+    assert energy._HEAD_BLOCK // 64**2 == 32
+    blocked = _band_pairs(f, u, vt, 0, 64)
+    monkeypatch.setattr(energy, "_HEAD_BLOCK", b * 64**2)
+    single = _band_pairs(f, u, vt, 0, 64)
+    assert blocked.shape == (b, 2016 + (n - 64) * 64)
+    assert np.array_equal(blocked.view(np.uint64), single.view(np.uint64))
+    iu = np.triu_indices(n, 1)
+    band = iu[0] < 64
+    want = (f(u, vt).transpose(0, 2, 1) if op == "matmul" else f(vt, u))[:, iu[0][band], iu[1][band]]
+    np.testing.assert_allclose(np.sort(blocked, axis=1), np.sort(want, axis=1), rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("b, r, s", [(1, 5, 3), (6, 10, 3), (3, 75, 2)])
+def test_supplied_buffers_give_the_unbuffered_bits(b, r, s):
+    # fiber_matrices and pair_log_sums write into the start of a longer
+    # buffer filled with nan when one is given, with the bits of the calls
+    # that allocate their own; n = 150 spans three bands
+    rng = np.random.default_rng(55)
+    frames = haar_rotations(rng, r)
+    phases = rng.uniform(0.0, 2.0 * math.pi, (b, r))
+    n = r * s
+    work = np.full(b * n * 9 + 7, np.nan)
+    rows = fiber_matrices(frames, phases, s, out=work)
+    want_rows = fiber_matrices(frames, phases, s)
+    assert np.shares_memory(rows, work) and rows.shape == want_rows.shape
+    assert np.array_equal(rows.view(np.uint64), want_rows.view(np.uint64))
+    buf = np.full(b * band_len(n) + 7, np.nan)
+    for got, want in zip(pair_log_sums(rows, out=buf), pair_log_sums(want_rows)):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_coincidence_tolerance_is_tiny():

@@ -365,27 +365,54 @@ def test_chunk_energies_equal_log_energy_of_rebuilt_configurations(kind, r, s, r
 
 def test_fixed_point_chunks_equal_per_trial_route():
     # uniform r = 10, s = 3 (n = 30): 4,100 trials are a 4,096-trial chunk and
-    # a 4-trial one. Each batched chunk (keyed_uniforms phases, one
-    # fiber_matrices broadcast) must give the bits of the per-trial route:
-    # a Generator per trial, fiber_matrices of its rows, pair_log_sums.
+    # a 4-trial one; r = 32, s = 2 (n = 64, one band of 2,016 pairs): 1,030
+    # trials are a 1,024-trial chunk and a 6-trial one. Each batched chunk
+    # (keyed_uniforms phases, one fiber_matrices broadcast and pair_log_sums
+    # in one workspace) must give the bits of the per-trial route: a
+    # Generator per trial, fiber_matrices of its rows, pair_log_sums.
     from so3energy.construct import fiber_matrices
     from so3energy.energy import pair_log_sums
     from so3energy.ensembles import sample_points
     from so3energy.geometry import base_frames
 
-    kind, r, s, seed, trials = "uniform", 10, 3, 19, 4100
-    frames = base_frames(sample_points(kind, r, keyed_stream(seed, DOMAIN_POINTS)))
-    b = chunk_size(r * s)
-    assert b < trials < 2 * b
-    for lo in range(0, trials, b):
-        hi = min(lo + b, trials)
-        energies, mins = _chunk_energies((kind, r, s, seed, lo, hi, frames))
-        phases = [keyed_stream(seed, DOMAIN_TRIAL, t).uniform(0.0, 2.0 * math.pi, r) for t in range(lo, hi)]
-        rows = np.stack([fiber_matrices(frames, phi, s) for phi in phases])
-        want_sums, want_mins = pair_log_sums(rows)
-        want_energies = -want_sums
-        assert np.array_equal(energies.view(np.uint64), want_energies.view(np.uint64))
-        assert np.array_equal(mins.view(np.uint64), want_mins.view(np.uint64))
+    kind, seed = "uniform", 19
+    for r, s, trials in ((10, 3, 4100), (32, 2, 1030)):
+        frames = base_frames(sample_points(kind, r, keyed_stream(seed, DOMAIN_POINTS)))
+        b = chunk_size(r * s)
+        assert b < trials < 2 * b
+        for lo in range(0, trials, b):
+            hi = min(lo + b, trials)
+            energies, mins = _chunk_energies((kind, r, s, seed, lo, hi, frames))
+            phases = [keyed_stream(seed, DOMAIN_TRIAL, t).uniform(0.0, 2.0 * math.pi, r) for t in range(lo, hi)]
+            rows = np.stack([fiber_matrices(frames, phi, s) for phi in phases])
+            want_sums, want_mins = pair_log_sums(rows)
+            want_energies = -want_sums
+            assert np.array_equal(energies.view(np.uint64), want_energies.view(np.uint64))
+            assert np.array_equal(mins.view(np.uint64), want_mins.view(np.uint64))
+
+
+def test_fixed_point_chunk_memory_at_n_64():
+    # uniform r = 32, s = 2, one 1,024-trial chunk: every trial's 64 x 64
+    # head and a copy of the band for its logs peaked at 52.5 MiB; one
+    # workspace for the rows and the band, heads formed a block of trials at
+    # a time, peaks at about 24 MiB
+    import tracemalloc
+
+    from so3energy.ensembles import sample_points
+    from so3energy.geometry import base_frames
+
+    r, s, seed = 32, 2, 11
+    frames = base_frames(sample_points("uniform", r, keyed_stream(seed, DOMAIN_POINTS)))
+    args = ("uniform", r, s, seed, 0, chunk_size(r * s), frames)
+    _chunk_energies(args)
+    tracemalloc.start()
+    try:
+        energies, _ = _chunk_energies(args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert energies.shape == (1024,) and np.isfinite(energies).all()
+    assert peak < 32 * 2**20
 
 
 def test_batched_fiber_matrices_equal_stacked_single_calls():

@@ -42,6 +42,9 @@ _PREDICT = [(kind, 16) for kind in ENSEMBLE_KINDS + ("harmonic",)] + [("zeros", 
 # the fixed-point grids of the acceptance test
 _FIXED_GRIDS = [(r, s) for r in (2, 5, 10) for s in (1, 2, 3)]
 _FIXED_SEEDS = (0, 11, 2026)
+# n = 64 in 1,024-trial chunks: three chunks, each of several blocks of
+# 64 x 64 heads in the band
+_FIXED_WIDE = ExperimentConfig(EnsembleSpec("uniform", 32, s=2), trials=2500, master_seed=11, resample_points=False)
 # two equal rotations (r = 2, s = 1): the only command here whose energy is inf
 _COINCIDENT = {"meta": {"ensemble": "uniform", "r": 2, "s": 1, "seed": None}, "matrices": [[1, 0, 0, 0, 1, 0, 0, 0, 1]] * 2}
 
@@ -98,6 +101,9 @@ def _commands():
             yield f"run_experiment fixed-point uniform r={r} s={s} seed={seed}", (
                 lambda c=cfg: _digest(run_experiment(c).to_json())
             )
+    yield "run_experiment fixed-point uniform r=32 s=2 seed=11 trials=2500", (
+        lambda: _digest(run_experiment(_FIXED_WIDE).to_json())
+    )
     for suite in ("fast", "full"):
         argv = ["verify", "--suite", suite]
         yield " ".join(argv), lambda a=argv: _cli(a)
