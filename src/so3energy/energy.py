@@ -93,7 +93,7 @@ def _band_pairs(op, u, vt, a0, a1, out=None):
     k = h + (n - a1) * m
     out = np.empty((b, k)) if out is None else out[: b * k].reshape(b, k)
     v = vt[:, :, a0:a1]
-    block = max(1, _HEAD_BLOCK // max(m * m, 1))
+    block = _HEAD_BLOCK // max(m * m, 1)
     square = np.empty((min(b, block), m, m))
     for k0 in range(0, b, block):
         k1 = min(k0 + block, b)
@@ -118,14 +118,13 @@ def pair_log_sums(rows, out=None):
     smallest pair squared distances, each of shape (b,).
 
     rows is a (b, n, 9) batch of n rotations flattened row-major. The squared
-    distances 6 - 2 <O_i, O_j> are formed one 64-row band at a time in one
-    buffer of b band_len(n) entries, sized for the first and largest band,
-    and their logs are taken in place: the largest array holds b x 64 x n
-    pairs, no two bands and no copy of their logs are alive at once, and no
-    n x n array is ever built. out, a flat float array of at least that
-    length, serves as the buffer when given. Each band's logs are summed
-    pairwise and the band partials combined with fsum per batch row, so a
-    trial gives the same bits alone and in a batch.
+    distances 6 - 2 <O_i, O_j> are formed one 64-row band at a time, each in
+    the same buffer of b band_len(n) entries (out, when given), and their
+    logs taken in place: the largest array holds b x 64 x n pairs, and the
+    only squares are the bands' heads of at most 64 x 64, about 2^17 entries
+    at a time. Each band's logs are summed pairwise and the band partials
+    combined with fsum per batch row, so a trial gives the same bits alone
+    and in a batch.
     """
     b, n = rows.shape[:2]
     if out is None:

@@ -122,11 +122,9 @@ def _chunk_energies(args):
             phases[i] = rng.uniform(0.0, _TWO_PI, r)
         if s >= 3:
             return fiber_pair_energies(frames, phases, s)
-    # one workspace for the chunk: its rotation rows, then the band buffer.
-    # As separate arrays, the largest block glibc frees would be too small to
-    # hold its heap trim threshold up, so each chunk would fault its pages
-    # back in: 1,833 minor faults per nine-grid round of 1,024 trials, 0 with
-    # the workspace
+    # one workspace for the rows, then the band buffer: as separate arrays the
+    # largest block freed is too small to hold glibc's heap trim threshold up,
+    # and every chunk faults its pages back in (1,833 minor faults a round)
     work = np.empty(b * (9 * n + band_len(n)))
     rows = fiber_matrices(frames, phases, s, out=work)
     sums, mins = pair_log_sums(rows, out=work[9 * b * n :])
