@@ -65,15 +65,17 @@ def fiber_matrices(frames, phases, s, out=None):
     phases = np.asarray(phases, dtype=float)
     lead = np.broadcast_shapes(frames.shape[:-2], phases.shape)
     ang = phases[..., None] + _TWO_PI * np.arange(1, s + 1) / s
-    c, sn = np.cos(ang)[..., None], np.sin(ang)[..., None]
+    sn = np.sin(ang)[..., None]
+    c = np.cos(ang, out=ang)[..., None]
     h0, h1 = frames[..., None, :, 0], frames[..., None, :, 1]
     shape = lead + (s, 3, 3)
     out = np.empty(shape) if out is None else out[: math.prod(shape)].reshape(shape)
-    # h0 c + h1 sn and -h0 sn + h1 c, with the bits of those expressions
+    # h0 c + h1 sn and -h0 sn + h1 c, with the bits of those expressions; each
+    # sn product is formed in column 3, which takes the frame's column last
     np.multiply(h0, c, out=out[..., 0])
-    out[..., 0] += h1 * sn
+    out[..., 0] += np.multiply(h1, sn, out=out[..., 2])
     np.multiply(h1, c, out=out[..., 1])
-    out[..., 1] -= h0 * sn
+    out[..., 1] -= np.multiply(h0, sn, out=out[..., 2])
     out[..., 2] = frames[..., None, :, 2]
     return out.reshape(lead[:-1] + (lead[-1] * s, 9))
 

@@ -85,10 +85,10 @@ def chunk_size(n):
     A direct-route chunk of b trials holds one workspace of
     b (9 n + band_len(n)) doubles, its rotation rows and its first and
     largest band of pair distances, beside a head block of at most 1 MiB
-    and fiber_matrices' temporaries. A warm fixed-point chunk peaks under
-    tracemalloc at 28 MiB for n = 30 and 31 MiB for n = 32 (4096 trials),
-    24 MiB for n = 64, 16 MiB for n = 128, 9.7 MiB for n = 256, 2.5 MiB for
-    n = 1024 and 1.3 MiB for n = 2048: at most 32 MiB, falling about as 1/n
+    and fiber_matrices' angles. A warm fixed-point chunk peaks under
+    tracemalloc at 25 MiB for n = 30 and 28 MiB for n = 32 (4096 trials),
+    22 MiB for n = 64, 16 MiB for n = 128, 9.7 MiB for n = 256, 2.4 MiB for
+    n = 1024 and 1.3 MiB for n = 2048: at most 28 MiB, falling about as 1/n
     above n = 64. The bands of fiber pairs hold r = n / s columns."""
     return max(1, min(4096, 2**25 // (8 * n * n)))
 

@@ -415,6 +415,30 @@ def test_fixed_point_chunk_memory_at_n_64():
     assert peak < 32 * 2**20
 
 
+def test_fixed_point_chunk_memory_at_n_32():
+    # uniform r = 32, s = 1, one 4,096-trial chunk: fiber_matrices kept the
+    # angles' cos and sin beside them and a (b, n, 3) product per column
+    # update, 31.6 MiB in all; the cos in place over the angles and the
+    # products in the output's third column peak at about 27.6 MiB
+    import tracemalloc
+
+    from so3energy.ensembles import sample_points
+    from so3energy.geometry import base_frames
+
+    r, s, seed = 32, 1, 11
+    frames = base_frames(sample_points("uniform", r, keyed_stream(seed, DOMAIN_POINTS)))
+    args = ("uniform", r, s, seed, 0, chunk_size(r * s), frames)
+    _chunk_energies(args)
+    tracemalloc.start()
+    try:
+        energies, _ = _chunk_energies(args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert energies.shape == (4096,) and np.isfinite(energies).all()
+    assert peak < 29 * 2**20
+
+
 def test_batched_fiber_matrices_equal_stacked_single_calls():
     # shared (r, 3, 3) frames and per-trial (b, r, 3, 3) frames alike
     from so3energy.construct import fiber_matrices

@@ -38,7 +38,8 @@ _MC_DIRECT = ["mc", "--ensemble", "zeros", "--r", "40", "--s", "2", "--trials", 
 _MC_BANDED = ["mc", "--ensemble", "zeros", "--r", "96", "--s", "auto", "--trials", "50", "--seed", "3"]
 # r = 2100 fibers span 33 bands, more band shapes than a cache of 32 held
 _MC_WIDE = ["mc", "--ensemble", "uniform", "--r", "2100", "--s", "3", "--trials", "2", "--seed", "3"]
-_PREDICT = [(kind, 16) for kind in ENSEMBLE_KINDS + ("harmonic",)] + [("zeros", 256)]
+# zeros at r = 1029 and harmonic at r = 400 (L = 19) pin deeper quadrature trees
+_PREDICT = [(kind, 16) for kind in ENSEMBLE_KINDS + ("harmonic",)] + [("zeros", 256), ("zeros", 1029), ("harmonic", 400)]
 # the fixed-point grids of the acceptance test
 _FIXED_GRIDS = [(r, s) for r in (2, 5, 10) for s in (1, 2, 3)]
 _FIXED_SEEDS = (0, 11, 2026)
