@@ -12,6 +12,7 @@ from functools import lru_cache
 import numpy as np
 
 from .energy import fibered_energy, predicted_energy, sphere_kernel
+from .ensembles import max_region_diameter
 from .quadrature import integrate, integrate_improper
 from .specfun import jacobi_p, gegenbauer
 
@@ -137,22 +138,15 @@ def _log_abs_expm1(eta):
     return np.where(eta == 0.0, -np.inf, out)
 
 
-def _gamma_r_pieces(r, u):
-    """The two parts of the radial pair density of the zeros ensemble,
-    evaluated stably for u from 1e-300 to 1e300 and r up to ~1e6."""
+def gamma_r(r, u):
+    """The radial pair density of the zeros ensemble, the sum of its two
+    parts, evaluated stably for u from 1e-300 to 1e300 and r up to ~1e6."""
     u = np.asarray(u, dtype=float)
     l1p, logw1, eta1, eta2 = _gamma_r_logs(r, u)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         g1 = np.expm1(eta1) ** 2 * np.exp((r - 2.0) * l1p - logw1)
         g2 = np.expm1(eta2) ** 2 * np.exp(-logw1)
-    g1 = np.where(u > 0.0, g1, 0.0)
-    g2 = np.where(u > 0.0, g2, 0.0)
-    return g1, g2
-
-
-def gamma_r(r, u):
-    g1, g2 = _gamma_r_pieces(r, u)
-    return g1 + g2
+    return np.where(u > 0.0, g1, 0.0) + np.where(u > 0.0, g2, 0.0)
 
 
 @lru_cache(maxsize=None)
@@ -210,8 +204,6 @@ def eap_kernel_lower_bound(r):
     so the full double sum has mean r^2/2; each diagonal term is at most
     log(1 + D/2).
     """
-    from .ensembles import max_region_diameter
-
     return r * r / 2.0 - r * math.log1p(max_region_diameter(r) / 2.0)
 
 

@@ -271,14 +271,8 @@ def fiber_pair_energies(frames, phases, s):
         # pairwise, batch or not
         kernels.append(sphere_kernel(t).sum(axis=1))
         flucts.append(fluct.sum(axis=1))
-        # a - b cos(u) = 4 (1 - t) + 4 (1 + t) sin^2(u / 2), without cancellation.
-        # sin^2 v <= v^2 caps the band's minimum, so sin is taken only on the
-        # pairs whose 4 (1 - t) lies under that cap.
-        lo = 4.0 * (1.0 - t)
-        cap = (lo + (1.0 + t) * np.square(u)).min(axis=1, initial=np.inf, keepdims=True)
-        near = lo <= cap
-        d = np.full_like(lo, np.inf)
-        d[near] = lo[near] + 4.0 * (1.0 + t[near]) * np.square(np.sin(0.5 * u[near]))
+        # a - b cos(u) = 4 (1 - t) + 4 (1 + t) sin^2(u / 2), without cancellation
+        d = 4.0 * (1.0 - t) + 4.0 * (1.0 + t) * np.square(np.sin(0.5 * u))
         dmin = np.minimum(dmin, d.min(axis=1, initial=np.inf))
     return fibered_energy(r, s, 2.0 * _fsum_rows(kernels)) - s * _fsum_rows(flucts), dmin
 

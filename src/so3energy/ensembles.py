@@ -434,11 +434,6 @@ def equal_area_partition(r):
     if r == 1:
         return [EqualAreaRegion("cap", 0.0, math.pi, 0.0, two_pi)]
     theta_c = math.acos(1.0 - 2.0 / r)
-    if r == 2:
-        return [
-            EqualAreaRegion("cap", 0.0, theta_c, 0.0, two_pi),
-            EqualAreaRegion("cap", theta_c, math.pi, 0.0, two_pi),
-        ]
     n_collars = max(1, round((math.pi - 2.0 * theta_c) / math.sqrt(4.0 * math.pi / r)))
     height = (math.pi - 2.0 * theta_c) / n_collars
     counts = []

@@ -22,17 +22,13 @@ def base_frames(points):
     pts = np.asarray(points, dtype=float)
     x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
     rho2 = x * x + y * y
-    generic = rho2 >= _POLE_TOL
-    rho = np.sqrt(np.where(generic, rho2, 1.0))
-    out = np.zeros((len(pts), 3, 3))
-    out[:, 0, 0] = np.where(generic, y / rho, 1.0)
-    out[:, 0, 1] = np.where(generic, z * x / rho, 0.0)
-    out[:, 0, 2] = np.where(generic, x, 0.0)
-    out[:, 1, 1] = np.where(generic, z * y / rho, np.where(z > 0, 1.0, -1.0))
-    out[:, 1, 0] = np.where(generic, -x / rho, 0.0)
-    out[:, 1, 2] = np.where(generic, y, 0.0)
-    out[:, 2, 1] = np.where(generic, -rho, 0.0)
-    out[:, 2, 2] = np.where(generic, z, np.where(z > 0, 1.0, -1.0))
+    rho = np.sqrt(rho2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.stack([y / rho, z * x / rho, x, -x / rho, z * y / rho, y, np.zeros_like(x), -rho, z], axis=1)
+    out = out.reshape(-1, 3, 3)
+    pole = ~(rho2 >= _POLE_TOL)
+    out[pole] = np.eye(3)
+    out[pole, 1, 1] = out[pole, 2, 2] = np.where(z[pole] > 0, 1.0, -1.0)
     return out
 
 

@@ -116,15 +116,16 @@ def kernel_gegenbauer_coeff(n):
     """Coefficient of index n in the Legendre expansion of
     f(t) = -log(1 + sqrt((1-t)/2)) on the two-sphere, weight 1/2.
 
-    f_hat(n) = (2n+1)/2 * int_{-1}^{1} f(t) P_n(t) dt.
+    f_hat(n) = (2n+1)/2 * int_{-1}^{1} f(t) P_n(t) dt, integrated in
+    x = sqrt((1-t)/2), t = 1 - 2x^2, dt = -4x dx, where the integrand is smooth.
     """
     if n < 0:
         raise ValueError("index must be >= 0")
 
-    def f(t):
-        return -np.log1p(np.sqrt((1.0 - t) / 2.0)) * jacobi_p(n, 0.0, 0.0, t)
+    def f(x):
+        return -np.log1p(x) * jacobi_p(n, 0.0, 0.0, 1.0 - 2.0 * x * x) * 4.0 * x
 
-    return (2.0 * n + 1.0) / 2.0 * integrate(f, -1.0, 1.0, tol=1e-11)
+    return (2.0 * n + 1.0) / 2.0 * integrate(f, 0.0, 1.0, tol=1e-11)
 
 
 def kernel_derivative(n, t):

@@ -218,8 +218,7 @@ def _check_kernel_positivity(fast):
 def _check_bessel_moments(fast):
     m = bessel_moment(0.0)
     lm = bessel_log_moment()
-    g = 0.57721566490153286
-    target = (7.0 - 3.0 * g - 3.0 * math.log(2.0)) / 9.0
+    target = (7.0 - 3.0 * cn._EULER - 3.0 * math.log(2.0)) / 9.0
     errs = [abs(m - 1.0 / 3.0), abs(lm - target)]
     xs = np.linspace(-1.0, 1.0, 21)
     degs = (3, 17, 44, 60)

@@ -477,6 +477,32 @@ def _grid_points(rng):
     return np.vstack([poles, p, -p, near, generic])
 
 
+def _masked_minima(frames, phases, s):
+    """fiber_pair_energies' smallest squared distances with sin taken only
+    on each band's pairs whose 4 (1 - t) lies under the band's cap, the least
+    4 (1 - t) + (1 + t) u^2; sin^2 v <= v^2, so no other pair can hold the
+    band's minimum."""
+    nb, r = phases.shape
+    pts, cols = frames[..., 2], frames[..., :2]
+    a = cols.reshape(nb, r, 6)
+    b = (cols[..., ::-1] * (1.0, -1.0)).reshape(nb, r, 6)
+    at = a.transpose(0, 2, 1)
+    step = 2.0 * math.pi / s
+    dmin = np.full(nb, 8.0 * math.sin(math.pi / s) ** 2 if s > 1 else math.inf)
+    for a0, a1 in _bands(r):
+        t = np.clip(_band_pairs(np.matmul, pts, pts.transpose(0, 2, 1), a0, a1), -1.0, 1.0)
+        psi = np.arctan2(_band_pairs(np.matmul, b, at, a0, a1), _band_pairs(np.matmul, a, at, a0, a1))
+        theta = _band_pairs(np.subtract, phases[:, :, None], phases[:, None, :], a0, a1) - psi
+        u = theta - step * np.rint(theta / step)
+        lo = 4.0 * (1.0 - t)
+        cap = (lo + (1.0 + t) * np.square(u)).min(axis=1, initial=np.inf, keepdims=True)
+        near = lo <= cap
+        d = np.full_like(lo, np.inf)
+        d[near] = lo[near] + 4.0 * (1.0 + t[near]) * np.square(np.sin(0.5 * u[near]))
+        dmin = np.minimum(dmin, d.min(axis=1, initial=np.inf))
+    return dmin
+
+
 @pytest.mark.parametrize("s", [1, 2, 3, 7, 17])
 def test_fiber_pair_energy_matches_direct_route(s):
     rng = np.random.default_rng(100 + s)
@@ -500,6 +526,17 @@ def test_fiber_pair_energy_aligned_phases_are_coincident(s):
     phases[3] = phases[0] + 2.0 * math.pi * 3 / s
     (_, m), (_, m_direct) = _both_routes(base_frames(points), phases, s)
     assert m < COINCIDENCE_TOL and m_direct < COINCIDENCE_TOL
+    assert m.hex() == float(_masked_minima(base_frames(points)[None], phases[None], s)[0]).hex()
+
+
+@pytest.mark.parametrize("r, s", [(2, 1), (24, 4), (96, 8), (130, 3)])
+def test_fiber_pair_minima_equal_masked_minima_bit_for_bit(r, s):
+    # resampled zeros draws, 1 to 3 bands of fibers
+    rng = np.random.default_rng(700 + r)
+    frames = np.stack([base_frames(sample_points("zeros", r, rng)) for _ in range(5)])
+    phases = rng.uniform(0.0, 2.0 * math.pi, (5, r))
+    _, mins = fiber_pair_energies(frames, phases, s)
+    assert np.array_equal(mins.view(np.uint64), _masked_minima(frames, phases, s).view(np.uint64))
 
 
 def test_fluctuation_log_near_coincidence_matches_mpmath():

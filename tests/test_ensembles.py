@@ -15,6 +15,7 @@ import pytest
 from so3energy.ensembles import (
     ENSEMBLE_KINDS,
     EnsembleSpec,
+    EqualAreaRegion,
     RootFindingError,
     _AberthWorkspace,
     _block_sums,
@@ -372,6 +373,15 @@ def test_equal_area_partition_exact_areas(r):
     target = 4.0 * math.pi / r
     for reg in regions:
         assert reg.area() == pytest.approx(target, abs=1e-9)
+
+
+def test_equal_area_partition_of_two_is_two_hemisphere_caps():
+    # the general collar loop gives r = 2 one empty collar between the caps
+    two_pi = 2.0 * math.pi
+    assert equal_area_partition(2) == [
+        EqualAreaRegion("cap", 0.0, math.acos(0.0), 0.0, two_pi),
+        EqualAreaRegion("cap", math.acos(0.0), math.pi, 0.0, two_pi),
+    ]
 
 
 def test_equal_area_partition_covers_sphere():

@@ -34,6 +34,43 @@ def frame_reference(p):
     return np.array([[y / rho, z * x / rho, x], [-x / rho, z * y / rho, y], [0.0, -rho, z]])
 
 
+def frames_where_twin(points):
+    """base_frames as one np.where per entry between the generic frame and
+    the pole frames."""
+    pts = np.asarray(points, dtype=float)
+    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+    rho2 = x * x + y * y
+    generic = rho2 >= 1e-24
+    rho = np.sqrt(np.where(generic, rho2, 1.0))
+    out = np.zeros((len(pts), 3, 3))
+    out[:, 0, 0] = np.where(generic, y / rho, 1.0)
+    out[:, 0, 1] = np.where(generic, z * x / rho, 0.0)
+    out[:, 0, 2] = np.where(generic, x, 0.0)
+    out[:, 1, 1] = np.where(generic, z * y / rho, np.where(z > 0, 1.0, -1.0))
+    out[:, 1, 0] = np.where(generic, -x / rho, 0.0)
+    out[:, 1, 2] = np.where(generic, y, 0.0)
+    out[:, 2, 1] = np.where(generic, -rho, 0.0)
+    out[:, 2, 2] = np.where(generic, z, np.where(z > 0, 1.0, -1.0))
+    return out
+
+
+def test_base_frames_match_where_twin_bit_for_bit():
+    # poles with every sign of zero, near-poles on both sides of the pole
+    # threshold, points on the equator with signed zeros, and random points
+    zeros = (0.0, -0.0)
+    poles = [(x, y, z) for x in zeros for y in zeros for z in (1.0, -1.0)]
+    near = [
+        pt
+        for a in (1e-13, -1e-13, 7e-13, 1e-12, -1e-12)
+        for z in (1.0, -1.0)
+        for pt in ((a, 0.0, z), (-0.0, a, z), (a, -a, z))
+    ]
+    equator = [(x, y, z) for x, y in ((1.0, 0.0), (-1.0, -0.0), (0.0, 1.0), (-0.0, -1.0)) for z in zeros]
+    pts = np.vstack([poles, near, equator, random_sphere_points(np.random.default_rng(8), 1000)])
+    got = base_frames(pts)
+    assert np.array_equal(got.view(np.uint64), frames_where_twin(pts).view(np.uint64))
+
+
 def test_base_frame_maps_pole_to_point():
     rng = np.random.default_rng(5)
     pts = random_sphere_points(rng, 50)

@@ -468,9 +468,9 @@ class _ZeroPhases:
         return getattr(self._rng, name)
 
 
-def test_coincident_resampled_trial_is_excluded(monkeypatch):
-    # base points 0 and 1 coincide in every trial; trial 0 also draws equal
-    # phases, so two of its rotations coincide and only it is excluded
+def _coincide_trial_zero(monkeypatch):
+    """Base points 0 and 1 coincide in every trial; trial 0 also draws equal
+    phases, so two of its rotations coincide."""
     from so3energy import harness
 
     real_stream, real_sample = harness.keyed_stream, harness.sample_points
@@ -486,7 +486,21 @@ def test_coincident_resampled_trial_is_excluded(monkeypatch):
 
     monkeypatch.setattr(harness, "keyed_stream", stream)
     monkeypatch.setattr(harness, "sample_points", sample)
+
+
+def test_coincident_resampled_trial_is_excluded(monkeypatch):
+    # only trial 0 has coincident rotations, so only it is excluded
+    _coincide_trial_zero(monkeypatch)
     energies, mins = _chunk_energies(("uniform", 4, 3, 8, 0, 3, None))
     assert mins[0] < COINCIDENCE_TOL and mins[1] > 1e-6 and mins[2] > 1e-6
     rep = run_experiment(ExperimentConfig(EnsembleSpec("uniform", 4, s=3), 1000, master_seed=8))
     assert rep.excluded == 1
+
+
+def test_run_whose_every_trial_is_coincident_fails(monkeypatch):
+    # a run of trial 0 alone excludes all of its trials, more than 0.1%, so
+    # no run ends with no trial left to average
+    _coincide_trial_zero(monkeypatch)
+    cfg = ExperimentConfig(EnsembleSpec("uniform", 4, s=3), 1, master_seed=8)
+    with pytest.raises(RuntimeError, match="1 of 1 trials coincident; seed or sampler is broken"):
+        run_experiment(cfg)

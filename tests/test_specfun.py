@@ -105,6 +105,32 @@ def test_kernel_gegenbauer_coeff_closed_form_small_n():
     # the n = 1 coefficient is exactly 1/4 and n = 2 is exactly 1/12
     assert kernel_gegenbauer_coeff(1) == pytest.approx(0.25, abs=1e-11)
     assert kernel_gegenbauer_coeff(2) == pytest.approx(1.0 / 12.0, abs=1e-11)
+    # and in general f_hat(n) = 1 / (2 n (n + 1)) for n >= 1
+    for n in range(3, 51):
+        assert kernel_gegenbauer_coeff(n) == pytest.approx(1.0 / (2.0 * n * (n + 1)), abs=1e-11), n
+
+
+def test_kernel_gegenbauer_coeff_integrand_is_smooth(monkeypatch):
+    # in x = sqrt((1 - t)/2) the integrand has no endpoint singularity, so the
+    # adaptive rule accepts after a few bisection generations (two integrand
+    # calls each)
+    from so3energy import specfun
+
+    real = specfun.integrate
+    calls = []
+
+    def counting(f, a, b, tol=1e-10):
+        def g(x):
+            calls.append(len(x))
+            return f(x)
+
+        return real(g, a, b, tol=tol)
+
+    monkeypatch.setattr(specfun, "integrate", counting)
+    for n in range(51):
+        calls.clear()
+        kernel_gegenbauer_coeff(n)
+        assert 0 < len(calls) <= 16, (n, len(calls))
 
 
 def test_kernel_derivative_matches_mpmath():

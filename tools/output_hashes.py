@@ -38,8 +38,14 @@ _MC_DIRECT = ["mc", "--ensemble", "zeros", "--r", "40", "--s", "2", "--trials", 
 _MC_BANDED = ["mc", "--ensemble", "zeros", "--r", "96", "--s", "auto", "--trials", "50", "--seed", "3"]
 # r = 2100 fibers span 33 bands, more band shapes than a cache of 32 held
 _MC_WIDE = ["mc", "--ensemble", "uniform", "--r", "2100", "--s", "3", "--trials", "2", "--seed", "3"]
-# zeros at r = 1029 and harmonic at r = 400 (L = 19) pin deeper quadrature trees
-_PREDICT = [(kind, 16) for kind in ENSEMBLE_KINDS + ("harmonic",)] + [("zeros", 256), ("zeros", 1029), ("harmonic", 400)]
+# zeros at r = 1029 and harmonic at r = 400 (L = 19) pin deeper quadrature trees;
+# eap at r = 2 pins the partition into two polar caps
+_PREDICT = [(kind, 16) for kind in ENSEMBLE_KINDS + ("harmonic",)] + [
+    ("zeros", 256),
+    ("zeros", 1029),
+    ("harmonic", 400),
+    ("eap", 2),
+]
 # the fixed-point grids of the acceptance test
 _FIXED_GRIDS = [(r, s) for r in (2, 5, 10) for s in (1, 2, 3)]
 _FIXED_SEEDS = (0, 11, 2026)
@@ -78,6 +84,9 @@ def _commands():
             yield " ".join(argv), lambda a=argv, p=path: _cli(a, written=[p])
             argv = ["energy", "--in", path]
             yield " ".join(argv), lambda a=argv: _cli(a)
+    # the two polar caps of the r = 2 equal-area partition
+    argv = ["generate", "--ensemble", "eap", "--r", "2", "--s", "3", "--seed", "5", "--out", "cfg-eap-2.json"]
+    yield " ".join(argv), lambda a=argv: _cli(a, written=["cfg-eap-2.json"])
     with open("coincident.json", "w") as fh:
         json.dump(_COINCIDENT, fh)
     argv = ["energy", "--in", "coincident.json"]
