@@ -175,7 +175,8 @@ def expected_kernel_energy(kind, r):
     if kind == "spherical":
         return r * r / 2.0 - math.sqrt(math.pi) / 2.0 * r * math.exp(math.lgamma(r) - math.lgamma(r + 0.5)) + 0.5
     if kind == "zeros":
-        return _zeros_kernel_integral(int(r))
+        # one point has no pairs; the quadrature would round the vanishing density to -5e-30
+        return _zeros_kernel_integral(int(r)) if r >= 2 else 0.0
     if kind == "harmonic":
         side = math.isqrt(int(r))
         if side * side != r:

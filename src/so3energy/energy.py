@@ -19,8 +19,9 @@ q = sqrt(1 - t), y = x^s, x = (sqrt 2 - q) / (sqrt 2 + q). The first term is
 the phase average, so the energy is predicted_energy(points, s) minus s times
 the sum of the second, mean-zero term over fiber pairs: a few transcendental
 functions per fiber pair for any s, against s^2 logs per fiber pair for the
-direct pair sum. fiber_pair_energies walks the fiber pairs in the same
-64-row bands as the direct route.
+direct pair sum. fiber_pair_energies returns each trial's kernel energy K,
+from sphere_kernel_energy's band walk (_kernel_bands), and fluctuation sum F;
+the energy is fibered_energy(r, s, K) - s F.
 """
 
 from __future__ import annotations
@@ -180,14 +181,20 @@ def sphere_kernel(t):
     return float(out) if out.ndim == 0 else out
 
 
+def _kernel_bands(pts):
+    """(a0, a1, t, kernel partial) for each 64-row band of the pairs i < j of
+    points pts, shape (b, r, 3): t holds the band's inner products clipped to
+    [-1, 1], the partial its sphere_kernel summed pairwise per batch row."""
+    pts_t = pts.transpose(0, 2, 1)
+    for a0, a1 in _bands(pts.shape[1]):
+        t = np.clip(_band_pairs(np.matmul, pts, pts_t, a0, a1), -1.0, 1.0)
+        yield a0, a1, t, sphere_kernel(t).sum(axis=1)
+
+
 def sphere_kernel_energy(points):
     """Sum of sphere_kernel over ordered pairs of distinct indices. The points
     must be finite unit vectors (norm within 1e-10 of 1)."""
-    pts = _unit_points(points)[None]
-    partials = [
-        sphere_kernel(np.clip(_band_pairs(np.matmul, pts, pts.transpose(0, 2, 1), a0, a1), -1.0, 1.0)).sum(axis=1)
-        for a0, a1 in _bands(pts.shape[1])
-    ]
+    partials = [kernel for *_, kernel in _kernel_bands(_unit_points(points)[None])]
     return 2.0 * float(_fsum_rows(partials)[0])
 
 
@@ -223,20 +230,21 @@ def _fluctuation_logs(slog_x, s_theta):
 
 
 def fiber_pair_energies(frames, phases, s):
-    """Energies and smallest pair squared distances of b trials of r fibers.
+    """Kernel energies K, fluctuation sums F and smallest pair squared
+    distances of b trials of r fibers, each of shape (b,).
 
     Trial k's fiber i is frames[k, i] @ R(phases[k, i] + 2 pi j / s),
     j = 1..s, the rows construct.fiber_matrices builds; frames is (b, r, 3, 3)
-    and phases (b, r). By the fiber-pair identity (module docstring) an
-    energy is the phase average fibered_energy of the base points
-    frames[k, :, :, 2] minus s times the fluctuation logs summed over fiber
-    pairs. The pairs i < j are visited in the 64-row bands of the direct
-    route: fibers a0..a1-1 against a0..r-1, three products and one phase
-    difference per band, so the largest array grows as 64 r, not r^2. Each
-    band's kernel and fluctuation terms are summed pairwise, and a trial's
-    band partials are combined with fsum, as on the direct route; with
-    r <= 64 the one band's pairwise sum is the sum. A fiber
-    pair's smallest squared distance is a - b cos(dist(theta, 2 pi Z / s));
+    and phases (b, r). K is the sphere_kernel_energy of the base points
+    frames[k, :, :, 2], bit for bit, and F the fluctuation logs summed over
+    fiber pairs, so by the fiber-pair identity (module docstring) the energy
+    is fibered_energy(r, s, K) - s F: the phase average and a mean-zero part.
+    The pairs i < j are visited in the 64-row bands of _kernel_bands: fibers
+    a0..a1-1 against a0..r-1, two more products and one phase difference per
+    band, so the largest array grows as 64 r, not r^2. Each band's terms are
+    summed pairwise, and a trial's band partials are combined with fsum, as on
+    the direct route; with r <= 64 the one band's pairwise sum is the sum. A
+    fiber pair's smallest squared distance is a - b cos(dist(theta, 2 pi Z / s));
     the returned minima also cover the within-fiber 4 - 4 cos(2 pi / s).
     """
     frames = np.asarray(frames, dtype=float)
@@ -245,8 +253,7 @@ def fiber_pair_energies(frames, phases, s):
     group = max(1, _FIBER_GROUP // (min(r, _BAND) * r))
     if nb > group:
         parts = [fiber_pair_energies(frames[k : k + group], phases[k : k + group], s) for k in range(0, nb, group)]
-        return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
-    pts = frames[..., 2]
+        return tuple(map(np.concatenate, zip(*parts)))
     cols = frames[..., :2]
     a = cols.reshape(nb, r, 6)
     b = (cols[..., ::-1] * (1.0, -1.0)).reshape(nb, r, 6)
@@ -254,8 +261,7 @@ def fiber_pair_energies(frames, phases, s):
     step = 2.0 * math.pi / s
     kernels, flucts = [], []
     dmin = np.full(nb, 8.0 * math.sin(math.pi / s) ** 2 if s > 1 else math.inf)
-    for a0, a1 in _bands(r):
-        t = np.clip(_band_pairs(np.matmul, pts, pts.transpose(0, 2, 1), a0, a1), -1.0, 1.0)
+    for a0, a1, t, kernel in _kernel_bands(frames[..., 2]):
         # a_i . a_j is m11 + m22 and a_i . b_j is m12 - m21 of H_i^T H_j
         psi = np.arctan2(_band_pairs(np.matmul, b, at, a0, a1), _band_pairs(np.matmul, a, at, a0, a1))
         theta = _band_pairs(np.subtract, phases[:, :, None], phases[:, None, :], a0, a1) - psi
@@ -269,12 +275,12 @@ def fiber_pair_energies(frames, phases, s):
             fluct = _fluctuation_logs(slog_x, s * u)
         # one partial per band: each row is contiguous, so numpy sums it
         # pairwise, batch or not
-        kernels.append(sphere_kernel(t).sum(axis=1))
+        kernels.append(kernel)
         flucts.append(fluct.sum(axis=1))
         # a - b cos(u) = 4 (1 - t) + 4 (1 + t) sin^2(u / 2), without cancellation
         d = 4.0 * (1.0 - t) + 4.0 * (1.0 + t) * np.square(np.sin(0.5 * u))
         dmin = np.minimum(dmin, d.min(axis=1, initial=np.inf))
-    return fibered_energy(r, s, 2.0 * _fsum_rows(kernels)) - s * _fsum_rows(flucts), dmin
+    return 2.0 * _fsum_rows(kernels), _fsum_rows(flucts), dmin
 
 
 def circle_average(h33, alpha, beta):

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import inverse_stereographic
+from .geometry import _gaussian_directions, inverse_stereographic
 
 ENSEMBLE_KINDS = ("uniform", "zeros", "eap", "spherical")
 
@@ -78,13 +78,7 @@ def sample_uniform(r, rng):
     """r i.i.d. uniform points on the sphere (three Gaussians, normalized)."""
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
-    g = rng.standard_normal((r, 3))
-    norms = np.linalg.norm(g, axis=1)
-    while np.any(norms < 1e-150):
-        bad = norms < 1e-150
-        g[bad] = rng.standard_normal((int(bad.sum()), 3))
-        norms = np.linalg.norm(g, axis=1)
-    return g / norms[:, None]
+    return _gaussian_directions(rng, r, 3)
 
 
 # --- elliptic polynomial zeros ----------------------------------------------

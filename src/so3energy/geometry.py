@@ -47,19 +47,19 @@ def haar_rotations(rng, count):
     Method: four standard Gaussians normalized to a unit quaternion, mapped
     to its rotation matrix. Exact and branch-free.
     """
-    return quaternion_matrix(_unit_quaternions(rng, count))
+    return quaternion_matrix(_gaussian_directions(rng, count, 4))
 
 
-def _unit_quaternions(rng, count):
-    q = rng.standard_normal((count, 4))
-    norm = np.linalg.norm(q, axis=1, keepdims=True)
-    # a zero draw has probability zero; resampling keeps the law exact
-    bad = norm[:, 0] < 1e-12
-    while bad.any():
-        q[bad] = rng.standard_normal((int(bad.sum()), 4))
-        norm = np.linalg.norm(q, axis=1, keepdims=True)
-        bad = norm[:, 0] < 1e-12
-    return q / norm
+def _gaussian_directions(rng, count, dim):
+    """count uniform unit vectors of dimension dim, normalized Gaussians; a row
+    of norm below 1e-150 (probability under 1e-400) is drawn again."""
+    g = rng.standard_normal((count, dim))
+    norms = np.linalg.norm(g, axis=1)
+    while np.any(norms < 1e-150):
+        bad = norms < 1e-150
+        g[bad] = rng.standard_normal((int(bad.sum()), dim))
+        norms = np.linalg.norm(g, axis=1)
+    return g / norms[:, None]
 
 
 def quaternion_matrix(q):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .constants import _energy_prediction
 from .construct import fiber_matrices
-from .energy import COINCIDENCE_TOL, band_len, fiber_pair_energies, pair_log_sums
+from .energy import COINCIDENCE_TOL, band_len, fiber_pair_energies, fibered_energy, pair_log_sums
 from .ensembles import EnsembleSpec, sample_points
 from .geometry import base_frames
 from .streams import DOMAIN_POINTS, DOMAIN_TRIAL, keyed_stream, keyed_uniforms
@@ -101,13 +101,14 @@ def _chunk_energies(args):
     rows from one fiber_matrices broadcast. A resampled trial draws its
     points first from the same stream, so those trials run one Generator
     each; with s >= 3 they take fiber_pair_energies, the whole chunk in one
-    call. The rest take the direct pair sum over their rotation rows. Both
-    routes walk a trial's pairs in the same 64-row bands and combine the band
-    partials with fsum. The identity costs about as much per fiber pair as the
-    direct sum spends on nine rotation pairs, so with s <= 2 (at most four)
-    it is slower once r passes a few dozen; fixed-point runs check the
-    identity's phase average, so computing them through it would make the
-    check circular.
+    call, and an energy is fibered_energy(r, s, K) - s F of its kernel and
+    fluctuation sums. The rest take the direct pair sum over their rotation
+    rows. Both routes walk a trial's pairs in the same 64-row bands and
+    combine the band partials with fsum. The identity costs about as much per
+    fiber pair as the direct sum spends on nine rotation pairs, so with
+    s <= 2 (at most four) it is slower once r passes a few dozen; fixed-point
+    runs check the identity's phase average, so computing them through it
+    would make the check circular.
     """
     kind, r, s, master_seed, lo, hi, frames = args
     b, n = hi - lo, r * s
@@ -121,7 +122,8 @@ def _chunk_energies(args):
             frames[i] = base_frames(sample_points(kind, r, rng))
             phases[i] = rng.uniform(0.0, _TWO_PI, r)
         if s >= 3:
-            return fiber_pair_energies(frames, phases, s)
+            kernel, fluct, mins = fiber_pair_energies(frames, phases, s)
+            return fibered_energy(r, s, kernel) - s * fluct, mins
     # one workspace for the rows, then the band buffer: as separate arrays the
     # largest block freed is too small to hold glibc's heap trim threshold up,
     # and every chunk faults its pages back in (1,833 minor faults a round)
@@ -160,8 +162,8 @@ def run_experiment(cfg, workers=None):
         (kind, r, s, cfg.master_seed, lo, min(lo + b, cfg.trials), frames)
         for lo in range(0, cfg.trials, b)
     ]
-    nworkers = resolve_workers(workers)
-    if nworkers == 1 or len(tasks) == 1:
+    nworkers = min(resolve_workers(workers), len(tasks))
+    if nworkers == 1:
         results = [_chunk_energies(t) for t in tasks]
     else:
         method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"

@@ -26,14 +26,8 @@ from .energy import (
     sphere_kernel,
     sphere_kernel_energy,
 )
-from .ensembles import (
-    EnsembleSpec,
-    equal_area_partition,
-    sample_elliptic_zeros,
-    sample_spherical_ensemble,
-    sample_uniform,
-)
-from .geometry import _unit_quaternions, haar_rotations, quaternion_matrix, so3_dist_sq
+from .ensembles import EnsembleSpec, equal_area_partition, sample_points, sample_uniform
+from .geometry import _gaussian_directions, haar_rotations, quaternion_matrix, so3_dist_sq
 from .harness import ExperimentConfig, run_experiment
 from .quadrature import integrate
 from .specfun import (
@@ -70,8 +64,8 @@ def _check_kappa(fast):
     rng = keyed_stream(2026, DOMAIN_POINTS)
     # the a draws, then the b draws, as two haar_rotations calls would take
     # them; the rotations and distances are formed in chunks
-    qa = _unit_quaternions(rng, npairs)
-    qb = _unit_quaternions(rng, npairs)
+    qa = _gaussian_directions(rng, npairs, 4)
+    qb = _gaussian_directions(rng, npairs, 4)
     x = np.empty(npairs)
     for lo in range(0, npairs, _KAPPA_CHUNK):
         hi = lo + _KAPPA_CHUNK
@@ -145,14 +139,18 @@ def _check_pair_kernel_mean(fast):
     return _result("pair-kernel-mean", abs(z) <= 4.0, f"z {z:+.2f} over {npairs} pairs")
 
 
+def _kernel_energy_z(kind, r, draws, rng):
+    """z-score of the mean sphere_kernel_energy of draws samples of kind at r
+    against expected_kernel_energy."""
+    vals = np.array([sphere_kernel_energy(sample_points(kind, r, rng)) for _ in range(draws)])
+    return (vals.mean() - cn.expected_kernel_energy(kind, r)) / (vals.std(ddof=1) / math.sqrt(draws))
+
+
 def _check_spherical(fast):
     exact2 = cn.expected_kernel_energy("spherical", 2)
     err2 = abs(exact2 - 7.0 / 6.0)
     instances = 400 if fast else 2000
-    rng = keyed_stream(2029, DOMAIN_POINTS)
-    vals = np.array([sphere_kernel_energy(sample_spherical_ensemble(8, rng)) for _ in range(instances)])
-    pred = cn.expected_kernel_energy("spherical", 8)
-    z = (vals.mean() - pred) / (vals.std(ddof=1) / math.sqrt(instances))
+    z = _kernel_energy_z("spherical", 8, instances, keyed_stream(2029, DOMAIN_POINTS))
     ok = err2 < 1e-12 and abs(z) <= 4.0
     return _result("spherical-ensemble", ok, f"r=2 err {err2:.1e}, r=8 MC z {z:+.2f} over {instances} draws")
 
@@ -161,11 +159,7 @@ def _check_zeros(fast):
     rs = (4,) if fast else (4, 8)
     draws = 400 if fast else 2000
     rng = keyed_stream(2030, DOMAIN_POINTS)
-    zs = []
-    for r in rs:
-        vals = np.array([sphere_kernel_energy(sample_elliptic_zeros(r, rng)) for _ in range(draws)])
-        pred = cn.expected_kernel_energy("zeros", r)
-        zs.append((vals.mean() - pred) / (vals.std(ddof=1) / math.sqrt(draws)))
+    zs = [_kernel_energy_z("zeros", r, draws, rng) for r in rs]
     tail = abs(cn.expected_kernel_energy("zeros", 1000) / 1000.0**2 - 0.5)
     j = cn.constant_J()
     seq = [cn.zeros_J_sequence(r) for r in (64, 256, 1024, 4096)]

@@ -135,6 +135,17 @@ def test_mc_csv_format(capsys):
     assert row.split(",")[1] == "uniform"
 
 
+def test_mc_zeros_at_one_point_passes_with_zero_prediction(capsys):
+    # one point has no pairs: every energy is 0, and so is the prediction,
+    # which the quadrature used to round to -5.1e-30 (z = inf, exit 1)
+    code, out, _ = run_cli(capsys, "mc", "--ensemble", "zeros", "--r", "1", "--s", "auto", "--trials", "50", "--seed", "3")
+    doc = json.loads(out)
+    assert code == 0
+    assert (doc["s"], doc["mean"], doc["prediction"], doc["z_score"], doc["pass"]) == (1, 0.0, 0.0, 0.0, True)
+    code, out, _ = run_cli(capsys, "predict", "--ensemble", "zeros", "--r", "1", "--s", "auto")
+    assert code == 0 and "e-30" not in out
+
+
 def test_mc_rejects_bad_trials(capsys):
     code, _, err = run_cli(capsys, "mc", "--ensemble", "uniform", "--r", "2", "--trials", "0")
     assert code == 2

@@ -184,6 +184,14 @@ def test_harmonic_kernel_energy_requires_square():
         expected_kernel_energy("harmonic", 5)
 
 
+def test_one_point_has_zero_kernel_energy():
+    # zeros went through the quadrature of a density that vanishes at r = 1
+    for kind in ("uniform", "zeros", "spherical", "harmonic"):
+        assert expected_kernel_energy(kind, 1) == 0.0
+    with pytest.raises(ValueError):
+        expected_kernel_energy("eap", 1)
+
+
 def test_expected_kernel_energy_rejects_unknown():
     with pytest.raises(ValueError):
         expected_kernel_energy("exotic", 4)

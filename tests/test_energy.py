@@ -455,8 +455,15 @@ def test_crossed_expectation_by_direct_phase_average():
 # --- fiber-pair identity --------------------------------------------------------
 
 
+def _fiber_energies(frames, phases, s):
+    """fiber_pair_energies' energies, formed from its kernel and fluctuation
+    sums as the harness forms them, and its minima."""
+    kernel, fluct, mins = fiber_pair_energies(frames, phases, s)
+    return fibered_energy(np.shape(phases)[-1], s, kernel) - s * fluct, mins
+
+
 def _fiber_route(frames, phases, s):
-    e, m = fiber_pair_energies(np.asarray(frames)[None], np.asarray(phases)[None], s)
+    e, m = _fiber_energies(np.asarray(frames)[None], np.asarray(phases)[None], s)
     return float(e[0]), float(m[0])
 
 
@@ -535,7 +542,7 @@ def test_fiber_pair_minima_equal_masked_minima_bit_for_bit(r, s):
     rng = np.random.default_rng(700 + r)
     frames = np.stack([base_frames(sample_points("zeros", r, rng)) for _ in range(5)])
     phases = rng.uniform(0.0, 2.0 * math.pi, (5, r))
-    _, mins = fiber_pair_energies(frames, phases, s)
+    _, _, mins = fiber_pair_energies(frames, phases, s)
     assert np.array_equal(mins.view(np.uint64), _masked_minima(frames, phases, s).view(np.uint64))
 
 
@@ -622,7 +629,7 @@ def test_fiber_route_memory_grows_as_64_r():
     phases = rng.uniform(0.0, 2.0 * math.pi, (1, 400))
     tracemalloc.start()
     try:
-        energies, _ = fiber_pair_energies(frames, phases, 17)
+        energies, _ = _fiber_energies(frames, phases, 17)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -653,12 +660,39 @@ def test_fiber_route_memory_at_r_3000():
     fiber_pair_energies(frames, phases, 14)
     tracemalloc.start()
     try:
-        energies, _ = fiber_pair_energies(frames, phases, 14)
+        energies, _ = _fiber_energies(frames, phases, 14)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert np.isfinite(energies[0])
     assert peak < 28 * 2**20
+
+
+@pytest.mark.parametrize("r, s", [(2, 3), (24, 4), (64, 5), (130, 8)])
+def test_fiber_pair_parts_against_direct_route(r, s):
+    # three resampled zeros trials, one to three bands of fibers: the kernel
+    # part is sphere_kernel_energy of the base points bit for bit, and the
+    # energy formed from the parts is the direct pair sum within 1e-12
+    rng = np.random.default_rng(800 + r)
+    frames = np.stack([base_frames(sample_points("zeros", r, rng)) for _ in range(3)])
+    phases = rng.uniform(0.0, 2.0 * math.pi, (3, r))
+    kernel, fluct, _ = fiber_pair_energies(frames, phases, s)
+    for k in range(3):
+        assert kernel[k].hex() == sphere_kernel_energy(frames[k, :, :, 2]).hex()
+        direct = -pair_log_sums(fiber_matrices(frames[k], phases[k], s)[None])[0][0]
+        assert fibered_energy(r, s, kernel[k]) - s * fluct[k] == pytest.approx(direct, rel=1e-12)
+
+
+def test_fiber_pair_fluctuation_has_mean_zero_over_phases():
+    # fixed zeros frames, r = 24, s = 4, 4,000 uniform phase draws at seed
+    # 61: the kernel part does not depend on the phases, and the fluctuation
+    # sum F averages to 0 within 4 standard errors
+    rng = np.random.default_rng(61)
+    r, s, trials = 24, 4, 4000
+    frames = np.repeat(base_frames(sample_points("zeros", r, rng))[None], trials, axis=0)
+    kernel, fluct, _ = fiber_pair_energies(frames, rng.uniform(0.0, 2.0 * math.pi, (trials, r)), s)
+    assert np.all(kernel == sphere_kernel_energy(frames[0, :, :, 2]))
+    assert abs(fluct.mean()) <= 4.0 * fluct.std(ddof=1) / math.sqrt(trials)
 
 
 def test_fiber_pair_energies_batch_equals_single_trials():
@@ -667,7 +701,7 @@ def test_fiber_pair_energies_batch_equals_single_trials():
     for r, s in ((5, 3), (70, 2), (130, 5)):
         frames = haar_rotations(rng, 6 * r).reshape(6, r, 3, 3)
         phases = rng.uniform(0.0, 2.0 * math.pi, (6, r))
-        energies, mins = fiber_pair_energies(frames, phases, s)
+        energies, mins = _fiber_energies(frames, phases, s)
         for k in range(6):
             assert (energies[k], mins[k]) == _fiber_route(frames[k], phases[k], s)
 

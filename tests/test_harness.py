@@ -217,6 +217,42 @@ def test_run_experiment_deterministic_across_worker_env(monkeypatch):
     assert a.to_json() == b.to_json()
 
 
+def test_pool_has_at_most_one_worker_per_chunk(monkeypatch):
+    # uniform r = 256, s = 2 (n = 512) makes 16-trial chunks, so two here; a
+    # stub context records the pool size and maps serially, so no process starts
+    from so3energy import harness
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return list(map(fn, tasks))
+
+    class Context:
+        Pool = SerialPool
+
+    cfg = ExperimentConfig(EnsembleSpec("uniform", 256, s=2), 20, master_seed=4)
+    assert chunk_size(512) == 16
+    serial = run_experiment(cfg, workers=1)
+    monkeypatch.setattr(harness.multiprocessing, "get_context", lambda method: Context())
+    assert run_experiment(cfg, workers=64).to_json() == serial.to_json()
+    monkeypatch.setenv("SO3ENERGY_WORKERS", "64")
+    assert run_experiment(cfg).to_json() == serial.to_json()
+    assert sizes == [2, 2]
+    # one chunk runs in this process, with no pool
+    run_experiment(ExperimentConfig(EnsembleSpec("uniform", 256, s=2), 16, master_seed=4), workers=64)
+    assert sizes == [2, 2]
+
+
 def test_report_serialization_schema():
     spec = EnsembleSpec("uniform", 2, s=1)
     rep = run_experiment(ExperimentConfig(spec, 64, master_seed=0))
