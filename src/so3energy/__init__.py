@@ -27,7 +27,6 @@ from .constants import (
 from .construct import (
     Configuration,
     build_configuration,
-    fiber_energy_closed_form,
     load_configuration,
     save_configuration,
 )

@@ -199,13 +199,13 @@ def _harmonic_kernel_energy(L):
 
 
 def eap_kernel_lower_bound(r):
-    """r^2/2 - r log(1 + D/2) with D the largest region diameter.
+    """r^2/2 - r log(1 + D/2) with D the largest region diameter; 0 at r = 1.
 
     An equal-area mixture of the per-region uniform laws is the uniform law,
     so the full double sum has mean r^2/2; each diagonal term is at most
-    log(1 + D/2).
+    log(1 + D/2). One point has no pairs, so its kernel energy is exactly 0.
     """
-    return r * r / 2.0 - r * math.log1p(max_region_diameter(r) / 2.0)
+    return 0.0 if r == 1 else r * r / 2.0 - r * math.log1p(max_region_diameter(r) / 2.0)
 
 
 def zeros_J_sequence(r):

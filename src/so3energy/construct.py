@@ -80,40 +80,27 @@ def fiber_matrices(frames, phases, s, out=None):
     return out.reshape(lead[:-1] + (lead[-1] * s, 9))
 
 
-def build_configuration(points, s, rng, ensemble="custom"):
+def build_configuration(points, s, seed, ensemble="custom"):
     """Stack fibers over `points` with independent uniform phases.
 
-    `rng` is either an integer master seed (each fiber's phase then comes
-    from its own derived stream, so parallel construction is reproducible)
-    or a numpy Generator (phases drawn from it in fiber order). Raises
-    ValueError unless `points` is an (r, 3) array of finite unit vectors
-    (norm within 1e-10 of 1).
+    Each fiber's phase comes from its own stream derived from the integer
+    master seed, so parallel construction is reproducible. Raises TypeError
+    for a seed that is not an integer, and ValueError unless `points` is an
+    (r, 3) array of finite unit vectors (norm within 1e-10 of 1).
     """
+    if not isinstance(seed, (int, np.integer)):
+        raise TypeError(f"seed must be an integer, got {type(seed).__name__}")
     points = _unit_points(points)
     r = len(points)
     if r < 1:
         raise ValueError("need at least one base point")
     if s < 1:
         raise ValueError(f"fiber count must be >= 1, got {s}")
-    if isinstance(rng, (int, np.integer)):
-        seed = int(rng)
-        phases = keyed_uniforms(seed, DOMAIN_FIBER, np.arange(r), 1, _TWO_PI)[:, 0]
-    else:
-        seed = None
-        phases = rng.uniform(0.0, _TWO_PI, r)
+    seed = int(seed)
+    phases = keyed_uniforms(seed, DOMAIN_FIBER, np.arange(r), 1, _TWO_PI)[:, 0]
     rows = fiber_matrices(base_frames(points), phases, s)
     meta = ConfigMeta(ensemble=ensemble, r=r, s=s, seed=seed)
     return Configuration(matrices=rows.reshape(r * s, 3, 3), meta=meta)
-
-
-def fiber_energy_closed_form(s):
-    """Sum over ordered pairs within one fiber of log ||O_i - O_j||_F.
-
-    Equals s(s-1)/2 log 2 + s log s for every base point and phase.
-    """
-    if s < 1:
-        raise ValueError(f"fiber count must be >= 1, got {s}")
-    return s * (s - 1) / 2.0 * math.log(2.0) + s * math.log(s)
 
 
 # --- serialization ---------------------------------------------------------

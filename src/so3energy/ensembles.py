@@ -388,7 +388,6 @@ def sample_elliptic_zeros(r, rng):
 class EqualAreaRegion:
     """A cap or collar cell, as colatitude and longitude bounds."""
 
-    kind: str  # "cap" | "collar-cell"
     theta0: float
     theta1: float
     phi0: float
@@ -426,7 +425,7 @@ def equal_area_partition(r):
         raise ValueError(f"need r >= 1, got {r}")
     two_pi = 2.0 * math.pi
     if r == 1:
-        return [EqualAreaRegion("cap", 0.0, math.pi, 0.0, two_pi)]
+        return [EqualAreaRegion(0.0, math.pi, 0.0, two_pi)]
     theta_c = math.acos(1.0 - 2.0 / r)
     n_collars = max(1, round((math.pi - 2.0 * theta_c) / math.sqrt(4.0 * math.pi / r)))
     height = (math.pi - 2.0 * theta_c) / n_collars
@@ -445,13 +444,11 @@ def equal_area_partition(r):
     for m in counts:
         cum += m
         bounds.append(math.acos(max(-1.0, 1.0 - 2.0 * cum / r)))
-    regions = [EqualAreaRegion("cap", 0.0, theta_c, 0.0, two_pi)]
+    regions = [EqualAreaRegion(0.0, theta_c, 0.0, two_pi)]
     for i, m in enumerate(counts):
         for k in range(m):
-            regions.append(
-                EqualAreaRegion("collar-cell", bounds[i], bounds[i + 1], two_pi * k / m, two_pi * (k + 1) / m)
-            )
-    regions.append(EqualAreaRegion("cap", bounds[-1], math.pi, 0.0, two_pi))
+            regions.append(EqualAreaRegion(bounds[i], bounds[i + 1], two_pi * k / m, two_pi * (k + 1) / m))
+    regions.append(EqualAreaRegion(bounds[-1], math.pi, 0.0, two_pi))
     return regions
 
 

@@ -146,6 +146,17 @@ def test_mc_zeros_at_one_point_passes_with_zero_prediction(capsys):
     assert code == 0 and "e-30" not in out
 
 
+def test_mc_eap_at_one_point_passes_with_zero_prediction(capsys):
+    # one point has no pairs; the bound's whole-sphere region gave the kernel
+    # energy 1/2 - log 2, a prediction of 0.193 against energies of 0 (z = inf)
+    code, out, _ = run_cli(capsys, "mc", "--ensemble", "eap", "--r", "1", "--s", "auto", "--trials", "50", "--seed", "3")
+    doc = json.loads(out)
+    assert code == 0
+    assert (doc["s"], doc["mean"], doc["prediction"], doc["z_score"], doc["pass"]) == (1, 0.0, 0.0, 0.0, True)
+    code, out, _ = run_cli(capsys, "predict", "--ensemble", "eap", "--r", "1", "--s", "auto")
+    assert code == 0 and json.loads(out)["predicted_energy"] == 0.0
+
+
 def test_mc_rejects_bad_trials(capsys):
     code, _, err = run_cli(capsys, "mc", "--ensemble", "uniform", "--r", "2", "--trials", "0")
     assert code == 2

@@ -190,6 +190,8 @@ def test_one_point_has_zero_kernel_energy():
         assert expected_kernel_energy(kind, 1) == 0.0
     with pytest.raises(ValueError):
         expected_kernel_energy("eap", 1)
+    # its bound used to take the whole sphere's diameter: 1/2 - log 2
+    assert eap_kernel_lower_bound(1) == 0.0
 
 
 def test_expected_kernel_energy_rejects_unknown():

@@ -12,12 +12,11 @@ from so3energy.cli import main
 from so3energy.construct import (
     Configuration,
     build_configuration,
-    fiber_energy_closed_form,
     fiber_matrices,
     load_configuration,
     save_configuration,
 )
-from so3energy.energy import log_energy
+from so3energy.energy import fibered_energy, log_energy
 from so3energy import geometry
 from so3energy.geometry import base_frames, is_rotation, unit_vector
 from so3energy.streams import DOMAIN_FIBER, keyed_stream
@@ -93,10 +92,10 @@ def test_fiber_energy_closed_form_matches_direct_sum():
     # only on s, not on the base point or phase
     rng = np.random.default_rng(22)
     for s in [1, 2, 3, 8, 17]:
-        expected = fiber_energy_closed_form(s)
+        expected = -fibered_energy(1, s, 0.0)
         for _ in range(3):
             p = unit_vector(rng.standard_normal(3))
-            mats = build_configuration(p, s, rng).matrices
+            mats = build_configuration(p, s, int(rng.integers(0, 2**63))).matrices
             if s == 1:
                 direct = 0.0
             else:
@@ -107,8 +106,6 @@ def test_fiber_energy_closed_form_matches_direct_sum():
                 # log d^2 over i < j
                 direct = float(np.sum(np.log(d2[iu])))
             assert direct == pytest.approx(expected, rel=1e-12, abs=1e-12)
-    with pytest.raises(ValueError):
-        fiber_energy_closed_form(0)
 
 
 def test_fiber_energy_closed_form_at_and_near_the_poles():
@@ -116,26 +113,26 @@ def test_fiber_energy_closed_form_at_and_near_the_poles():
     # within 1e-12 of 0 fall on either side of its pole test (rho^2 < 1e-24)
     rng = np.random.default_rng(23)
     for s in (2, 3, 8, 17):
-        expected = fiber_energy_closed_form(s)
+        expected = -fibered_energy(1, s, 0.0)
         iu = np.triu_indices(s, 1)
         for k in range(12):
             z = 1.0 if k % 2 else -1.0
             xy = [0.0, 0.0] if k < 2 else rng.uniform(-1e-12, 1e-12, 2)
-            mats = build_configuration([xy[0], xy[1], z], s, rng).matrices
+            mats = build_configuration([xy[0], xy[1], z], s, int(rng.integers(0, 2**63))).matrices
             assert np.max(np.abs(mats[:, :, 2] - [xy[0], xy[1], z])) <= 1e-12
             d2 = 6.0 - 2.0 * np.einsum("aij,bij->ab", mats, mats)
             assert float(np.sum(np.log(d2[iu]))) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 def test_fiber_energy_closed_form_small_values():
-    assert fiber_energy_closed_form(1) == 0.0
-    assert fiber_energy_closed_form(2) == pytest.approx(math.log(2.0) + 2.0 * math.log(2.0))
-    assert fiber_energy_closed_form(3) == pytest.approx(3.0 * math.log(2.0) + 3.0 * math.log(3.0))
+    assert -fibered_energy(1, 1, 0.0) == 0.0
+    assert -fibered_energy(1, 2, 0.0) == pytest.approx(math.log(2.0) + 2.0 * math.log(2.0))
+    assert -fibered_energy(1, 3, 0.0) == pytest.approx(3.0 * math.log(2.0) + 3.0 * math.log(3.0))
 
 
 def test_build_configuration_shapes_and_meta():
     pts = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
-    cfg = build_configuration(pts, 4, rng=123, ensemble="uniform")
+    cfg = build_configuration(pts, 4, seed=123, ensemble="uniform")
     assert cfg.n == 12
     assert cfg.matrices.shape == (12, 3, 3)
     assert cfg.meta.r == 3 and cfg.meta.s == 4
@@ -149,10 +146,10 @@ def test_build_configuration_integer_seed_is_order_independent():
     # with an integer seed each fiber phase comes from its own derived
     # stream, so the same (point, index) pair always gets the same phase
     pts = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-    a = build_configuration(pts, 3, rng=7)
-    b = build_configuration(pts, 3, rng=7)
+    a = build_configuration(pts, 3, seed=7)
+    b = build_configuration(pts, 3, seed=7)
     assert np.array_equal(a.matrices, b.matrices)
-    c = build_configuration(pts, 3, rng=8)
+    c = build_configuration(pts, 3, seed=8)
     assert not np.array_equal(a.matrices, c.matrices)
     # fiber i's phase is the first draw of keyed_stream(seed, DOMAIN_FIBER, i)
     phases = [keyed_stream(7, DOMAIN_FIBER, i).uniform(0.0, 2.0 * math.pi) for i in range(2)]
@@ -161,22 +158,24 @@ def test_build_configuration_integer_seed_is_order_independent():
 
 
 def test_build_configuration_generator_path():
+    # phases come only from an integer seed's keyed streams: a Generator or a
+    # float is refused, not drawn from or truncated
     pts = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-    a = build_configuration(pts, 2, rng=np.random.default_rng(9))
-    b = build_configuration(pts, 2, rng=np.random.default_rng(9))
-    assert np.array_equal(a.matrices, b.matrices)
-    assert a.meta.seed is None
+    for bad, name in ((np.random.default_rng(9), "Generator"), (9.0, "float")):
+        with pytest.raises(TypeError, match=f"seed must be an integer, got {name}"):
+            build_configuration(pts, 2, bad)
+    assert type(build_configuration(pts, 2, np.int64(9)).meta.seed) is int
 
 
 def test_build_configuration_validation():
     with pytest.raises(ValueError):
-        build_configuration(np.empty((0, 3)), 2, rng=0)
+        build_configuration(np.empty((0, 3)), 2, seed=0)
     with pytest.raises(ValueError):
-        build_configuration([[0.0, 0.0, 1.0]], 0, rng=0)
+        build_configuration([[0.0, 0.0, 1.0]], 0, seed=0)
     with pytest.raises(ValueError):
-        build_configuration([0.0, 0.0, 1.0], 0, rng=np.random.default_rng(0))
+        build_configuration([0.0, 0.0, 1.0], 0, seed=0)
     with pytest.raises(ValueError, match=r"shape \(1, 2\)"):
-        build_configuration([0.0, 1.0], 2, rng=0)
+        build_configuration([0.0, 1.0], 2, seed=0)
 
 
 @pytest.mark.parametrize(
@@ -187,15 +186,15 @@ def test_build_configuration_rejects_non_unit_points(bad):
     # give a finite energy
     pts = [[0.0, 0.0, 1.0], bad, [1.0, 0.0, 0.0]]
     with pytest.raises(ValueError, match="point 1 is"):
-        build_configuration(pts, 2, rng=0)
-    assert build_configuration([[0.0, 0.0, 1.0], [1.0 + 5e-11, 0.0, 0.0]], 2, rng=0).n == 4
+        build_configuration(pts, 2, seed=0)
+    assert build_configuration([[0.0, 0.0, 1.0], [1.0 + 5e-11, 0.0, 0.0]], 2, seed=0).n == 4
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_save_load_round_trip_is_bit_exact(tmp_path, fmt):
     pts = np.random.default_rng(31).standard_normal((4, 3))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    cfg = build_configuration(pts, 3, rng=55, ensemble="eap")
+    cfg = build_configuration(pts, 3, seed=55, ensemble="eap")
     path = tmp_path / f"config.{fmt}"
     save_configuration(cfg, path, fmt=fmt)
     back = load_configuration(path)
@@ -215,8 +214,10 @@ def test_save_load_round_trip_is_bit_exact_for_any_configuration(tmp_path, seed)
     pts[: r // 4] = [0.0, 0.0, 1.0]
     pts[r // 4 : r // 2] = [0.0, 0.0, -1.0]
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    seed_arg = int(rng.integers(0, 2**63)) if seed % 2 else np.random.default_rng(seed)
-    cfg = build_configuration(pts, s, rng=seed_arg, ensemble="uniform")
+    cfg = build_configuration(pts, s, seed=int(rng.integers(0, 2**63)), ensemble="uniform")
+    if not seed % 2:
+        # a meta with a null seed round-trips too
+        cfg = Configuration(cfg.matrices, dataclasses.replace(cfg.meta, seed=None))
     for fmt in ("json", "csv"):
         path = tmp_path / f"config-{seed}.{fmt}"
         save_configuration(cfg, path, fmt=fmt)
@@ -248,8 +249,8 @@ def _encoder_cases():
     rng = np.random.default_rng(41)
     pts = rng.standard_normal((5, 3))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    yield "random", build_configuration(pts, 4, rng=77, ensemble="uniform"), True
-    poles = build_configuration([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], 6, rng=np.random.default_rng(5))
+    yield "random", build_configuration(pts, 4, seed=77, ensemble="uniform"), True
+    poles = build_configuration([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], 6, seed=5)
     assert np.any(np.signbit(poles.matrices) & (poles.matrices == 0.0))
     yield "poles", poles, True
     mats = poles.matrices.copy()
@@ -274,7 +275,7 @@ def test_save_writes_the_bytes_of_the_stream_encoders(tmp_path, fmt):
 
 
 def test_save_rejects_unknown_format(tmp_path):
-    cfg = build_configuration([[0.0, 0.0, 1.0]], 2, rng=0)
+    cfg = build_configuration([[0.0, 0.0, 1.0]], 2, seed=0)
     with pytest.raises(ValueError):
         save_configuration(cfg, tmp_path / "x.bin", fmt="bin")
 
@@ -282,7 +283,7 @@ def test_save_rejects_unknown_format(tmp_path):
 def test_load_csv_without_meta_line(tmp_path):
     # no meta line, blank lines and a comment between data lines are skipped,
     # with \n, \r\n or \r line ends
-    cfg = build_configuration([[0.0, 0.0, 1.0], [0.6, 0.0, 0.8]], 2, rng=4)
+    cfg = build_configuration([[0.0, 0.0, 1.0], [0.6, 0.0, 0.8]], 2, seed=4)
     rows = [",".join(repr(v) for v in row) for row in cfg.matrices.reshape(4, 9).tolist()]
     lines = [",".join("m%d%d" % (i, j) for i in range(1, 4) for j in range(1, 4)), rows[0], "", rows[1]]
     lines += ["# a note between data lines", "  ", rows[2], rows[3], ""]
@@ -448,7 +449,7 @@ def _broken_file(tmp_path, fmt, damage):
     """A saved configuration of 6 rotations whose matrix row 3 is damaged."""
     pts = np.random.default_rng(32).standard_normal((3, 3))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    cfg = build_configuration(pts, 2, rng=56)
+    cfg = build_configuration(pts, 2, seed=56)
     damage(cfg.matrices[2])
     path = tmp_path / f"broken.{fmt}"
     save_configuration(cfg, path, fmt=fmt)
@@ -482,7 +483,7 @@ def test_energy_in_checks_each_rotation_once(tmp_path, capsys, monkeypatch, fmt)
     pts = np.random.default_rng(33).standard_normal((5, 3))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     path = tmp_path / f"c.{fmt}"
-    save_configuration(build_configuration(pts, 3, rng=57), path, fmt=fmt)
+    save_configuration(build_configuration(pts, 3, seed=57), path, fmt=fmt)
     checked = []
     mask = geometry.rotation_mask
     monkeypatch.setattr(geometry, "rotation_mask", lambda m: checked.append(len(m)) or mask(m))

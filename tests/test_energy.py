@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from so3energy.construct import ConfigMeta, Configuration, build_configuration, fiber_energy_closed_form, fiber_matrices
+from so3energy.construct import ConfigMeta, Configuration, build_configuration, fiber_matrices
 from so3energy.energy import (
     COINCIDENCE_TOL,
     _band_pairs,
@@ -161,12 +161,12 @@ def test_upper_tile_sums_equal_per_row_fsum_bit_for_bit(source, n):
 
 
 def test_log_energy_fiber_identity():
-    # one fiber: energy equals minus the closed form, any base point or phase
+    # one fiber: energy equals the r = 1 phase average, any base point or phase
     rng = np.random.default_rng(44)
     for s in [2, 3, 16]:
-        e = log_energy(build_configuration(unit_vector(rng.standard_normal(3)), s, rng))
+        e = log_energy(build_configuration(unit_vector(rng.standard_normal(3)), s, int(rng.integers(0, 2**63))))
         assert type(e) is float
-        assert e == pytest.approx(-fiber_energy_closed_form(s), rel=1e-12)
+        assert e == pytest.approx(fibered_energy(1, s, 0.0), rel=1e-12)
 
 
 def test_log_energy_coincident_matrices_is_infinite():
@@ -395,10 +395,12 @@ def test_predicted_energy_rejects_non_unit_points(bad):
 
 
 def test_predicted_energy_single_fiber_consistency():
-    # r = 1: prediction reduces to minus the fiber closed form exactly
+    # r = 1: the prediction is minus the within-fiber closed form
+    # s(s-1)/2 log 2 + s log s
     p = np.array([[0.6, 0.0, 0.8]])
     for s in [1, 2, 5, 9]:
-        assert predicted_energy(p, s) == pytest.approx(-fiber_energy_closed_form(s), rel=1e-13)
+        within = s * (s - 1) / 2.0 * math.log(2.0) + s * math.log(s)
+        assert predicted_energy(p, s) == pytest.approx(-within, rel=1e-13)
 
 
 def test_circle_average_against_quadrature():
@@ -444,7 +446,7 @@ def test_crossed_expectation_by_direct_phase_average():
         totals.append(cross)
     # uniform phase average over one phase suffices: the difference of
     # phases is what matters, so averaging one of them is exact
-    expected = -(predicted_energy([p, q], s) + 2.0 * fiber_energy_closed_form(s)) / 2.0
+    expected = -(predicted_energy([p, q], s) - 2.0 * fibered_energy(1, s, 0.0)) / 2.0
     assert np.mean(totals) == pytest.approx(expected, rel=1e-10)
     # that is s^2 log(sqrt 2 + sqrt(1 - <p, q>)) = s^2 (log 2 / 2 + sphere_kernel(<p, q>))
     t = float(p @ q)

@@ -379,8 +379,8 @@ def test_equal_area_partition_of_two_is_two_hemisphere_caps():
     # the general collar loop gives r = 2 one empty collar between the caps
     two_pi = 2.0 * math.pi
     assert equal_area_partition(2) == [
-        EqualAreaRegion("cap", 0.0, math.acos(0.0), 0.0, two_pi),
-        EqualAreaRegion("cap", math.acos(0.0), math.pi, 0.0, two_pi),
+        EqualAreaRegion(0.0, math.acos(0.0), 0.0, two_pi),
+        EqualAreaRegion(math.acos(0.0), math.pi, 0.0, two_pi),
     ]
 
 
@@ -454,8 +454,8 @@ def test_sample_equal_area_one_point_per_region():
         theta = math.acos(min(1.0, max(-1.0, p[2])))
         assert reg.theta0 - 1e-12 <= theta <= reg.theta1 + 1e-12
         phi = math.atan2(p[1], p[0]) % (2.0 * math.pi)
-        if reg.kind == "collar-cell":
-            assert reg.phi0 - 1e-12 <= phi <= reg.phi1 + 1e-12
+        # a cap's longitudes span [0, 2 pi], so it holds every phi
+        assert reg.phi0 - 1e-12 <= phi <= reg.phi1 + 1e-12
 
 
 # --- spherical ensemble -----------------------------------------------------------

@@ -78,7 +78,7 @@ def test_seeds_outside_64_bits_are_refused(seed):
     with pytest.raises(ValueError, match="seed out of range"):
         keyed_uniforms(seed, DOMAIN_TRIAL, [0, 1], 3, 1.0)
     with pytest.raises(ValueError, match="seed out of range"):
-        build_configuration([[0.0, 0.0, 1.0]], 2, rng=seed)
+        build_configuration([[0.0, 0.0, 1.0]], 2, seed=seed)
     for resample in (True, False):
         cfg = ExperimentConfig(EnsembleSpec("uniform", 3, s=2), 5, master_seed=seed, resample_points=resample)
         with pytest.raises(ValueError, match="seed out of range"):
@@ -90,7 +90,7 @@ def test_seeds_at_the_ends_of_the_range_are_kept(seed):
     from so3energy.construct import build_configuration
 
     assert keyed_stream(seed, DOMAIN_POINTS).random() != keyed_stream(seed ^ 1, DOMAIN_POINTS).random()
-    assert build_configuration([[0.0, 0.0, 1.0]], 2, rng=seed).meta.seed == seed
+    assert build_configuration([[0.0, 0.0, 1.0]], 2, seed=seed).meta.seed == seed
     for resample in (True, False):
         cfg = ExperimentConfig(EnsembleSpec("uniform", 3, s=2), 5, master_seed=seed, resample_points=resample)
         rep = run_experiment(cfg)
@@ -375,7 +375,7 @@ def test_chunk_energies_equal_log_energy_of_rebuilt_configurations(kind, r, s, r
     # 12-trial one. Resampled trials with s >= 3 take the fiber-pair identity:
     # equal to it within 1e-12 relative, and the same bits whatever chunk
     # holds them.
-    from so3energy.construct import build_configuration
+    from so3energy.construct import fiber_matrices
     from so3energy.energy import log_energy
     from so3energy.ensembles import sample_points
     from so3energy.geometry import base_frames
@@ -390,7 +390,8 @@ def test_chunk_energies_equal_log_energy_of_rebuilt_configurations(kind, r, s, r
     for t in range(trials):
         rng = keyed_stream(seed, DOMAIN_TRIAL, t)
         pts = sample_points(kind, r, rng) if resample else points
-        direct = log_energy(build_configuration(pts, s, rng))
+        rows = fiber_matrices(base_frames(pts), rng.uniform(0.0, 2.0 * math.pi, r), s)
+        direct = log_energy(rows.reshape(-1, 3, 3))
         single, _ = _chunk_energies((kind, r, s, seed, t, t + 1, frames))
         assert single[0] == batched[t]
         if resample and s >= 3:

@@ -8,7 +8,7 @@ EXPORTS = {
     'constant_J', 'eap_energy_upper_bound', 'eap_kernel_lower_bound',
     'EnsembleSpec', 'equal_area_partition', 'EqualAreaRegion', 'EstimateReport',
     'expected_configuration_energy', 'expected_kernel_energy', 'ExperimentConfig',
-    'fiber_energy_closed_form', 'gamma_r', 'gamma_r_bounds_check', 'haar_rotations',
+    'gamma_r', 'gamma_r_bounds_check', 'haar_rotations',
     'integrate', 'integrate_improper', 'inverse_stereographic', 'kappa', 'kappa_quadrature',
     'keyed_stream', 'load_configuration', 'log_energy', 'optimal_s', 'predicted_energy',
     'QuadratureError', 'realizable_n', 'RootFindingError', 'run_experiment',

@@ -38,17 +38,19 @@ _MC_DIRECT = ["mc", "--ensemble", "zeros", "--r", "40", "--s", "2", "--trials", 
 _MC_BANDED = ["mc", "--ensemble", "zeros", "--r", "96", "--s", "auto", "--trials", "50", "--seed", "3"]
 # r = 2100 fibers span 33 bands, more band shapes than a cache of 32 held
 _MC_WIDE = ["mc", "--ensemble", "uniform", "--r", "2100", "--s", "3", "--trials", "2", "--seed", "3"]
-# one zeros point has no pairs: every energy and the prediction are 0
+# one zeros or eap point has no pairs: every energy and the prediction are 0
 _MC_ONE = ["mc", "--ensemble", "zeros", "--r", "1", "--s", "auto", "--trials", "50", "--seed", "3"]
+_MC_ONE_EAP = ["mc", "--ensemble", "eap", "--r", "1", "--s", "auto", "--trials", "50", "--seed", "3"]
 # zeros at r = 1029 and harmonic at r = 400 (L = 19) pin deeper quadrature trees;
-# eap at r = 2 pins the partition into two polar caps, zeros at r = 1 the
-# kernel energy of a single point
+# eap at r = 2 pins the partition into two polar caps, zeros and eap at r = 1
+# the kernel energy of a single point
 _PREDICT = [(kind, 16) for kind in ENSEMBLE_KINDS + ("harmonic",)] + [
     ("zeros", 256),
     ("zeros", 1029),
     ("harmonic", 400),
     ("eap", 2),
     ("zeros", 1),
+    ("eap", 1),
 ]
 # the fixed-point grids of the acceptance test
 _FIXED_GRIDS = [(r, s) for r in (2, 5, 10) for s in (1, 2, 3)]
@@ -99,7 +101,7 @@ def _commands():
         for fmt in ("json", "csv"):
             argv = ["mc", "--ensemble", kind, "--r", str(r), "--s", "auto", "--trials", "300", "--seed", "3", "--format", fmt]
             yield " ".join(argv), lambda a=argv: _cli(a)
-    for argv in (_MC_DIRECT, _MC_BANDED, _MC_WIDE, _MC_ONE):
+    for argv in (_MC_DIRECT, _MC_BANDED, _MC_WIDE, _MC_ONE, _MC_ONE_EAP):
         yield " ".join(argv), lambda a=argv: _cli(a)
     for kind, r in _PREDICT:
         argv = ["predict", "--ensemble", kind, "--r", str(r), "--s", "auto"]
