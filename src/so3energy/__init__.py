@@ -31,7 +31,6 @@ from .construct import (
     save_configuration,
 )
 from .energy import (
-    circle_average,
     circle_average_quadrature,
     log_energy,
     predicted_energy,

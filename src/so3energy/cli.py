@@ -30,6 +30,13 @@ def _fiber_count(value):
     return count
 
 
+def _trial_count(value):
+    count = int(value)
+    if count < 2:
+        raise argparse.ArgumentTypeError(f"need at least 2 trials for a standard error, got {count}")
+    return count
+
+
 @functools.lru_cache(maxsize=1)
 def _build_parser():
     """The argument parser, built once per process: it is pure, and
@@ -67,7 +74,7 @@ def _build_parser():
     p.add_argument("--ensemble", choices=ENSEMBLE_KINDS, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--s", type=_fiber_count, default=None, metavar="S|auto")
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--trials", type=_trial_count, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_mc)

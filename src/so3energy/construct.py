@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import _unit_points, base_frames, first_non_rotation
-from .streams import DOMAIN_FIBER, keyed_uniforms
+from .streams import fiber_phases
 
 FORMAT_VERSION = "1"
 
@@ -83,10 +83,12 @@ def fiber_matrices(frames, phases, s, out=None):
 def build_configuration(points, s, seed, ensemble="custom"):
     """Stack fibers over `points` with independent uniform phases.
 
-    Each fiber's phase comes from its own stream derived from the integer
-    master seed, so parallel construction is reproducible. Raises TypeError
-    for a seed that is not an integer, and ValueError unless `points` is an
-    (r, 3) array of finite unit vectors (norm within 1e-10 of 1).
+    Fiber i's phase is draw i of streams.fiber_phases for the integer seed,
+    so a configuration is a pure function of its points, s and seed; trial 0
+    of a fixed-point run_experiment over the same points and seed is this
+    configuration. Raises TypeError for a seed that is not an integer, and
+    ValueError unless `points` is an (r, 3) array of finite unit vectors
+    (norm within 1e-10 of 1).
     """
     if not isinstance(seed, (int, np.integer)):
         raise TypeError(f"seed must be an integer, got {type(seed).__name__}")
@@ -97,7 +99,7 @@ def build_configuration(points, s, seed, ensemble="custom"):
     if s < 1:
         raise ValueError(f"fiber count must be >= 1, got {s}")
     seed = int(seed)
-    phases = keyed_uniforms(seed, DOMAIN_FIBER, np.arange(r), 1, _TWO_PI)[:, 0]
+    phases = fiber_phases(seed, 0, r)
     rows = fiber_matrices(base_frames(points), phases, s)
     meta = ConfigMeta(ensemble=ensemble, r=r, s=s, seed=seed)
     return Configuration(matrices=rows.reshape(r * s, 3, 3), meta=meta)

@@ -283,24 +283,10 @@ def fiber_pair_energies(frames, phases, s):
     return 2.0 * _fsum_rows(kernels), _fsum_rows(flucts), dmin
 
 
-def circle_average(h33, alpha, beta):
-    """Closed-form circle mean of log(alpha + beta * trace(H R(phi))).
-
-    h33 is the (3,3) entry of H. Requires |beta| <= alpha/3, which keeps the
-    argument of the logarithm nonnegative for every rotation H.
-    """
-    if abs(beta) > alpha / 3.0:
-        raise ValueError(f"need |beta| <= alpha/3, got alpha={alpha}, beta={beta}")
-    if not -1.0 - 1e-12 <= h33 <= 1.0 + 1e-12:
-        raise ValueError("h33 must lie in [-1, 1]")
-    h33 = min(1.0, max(-1.0, h33))
-    return 2.0 * math.log((math.sqrt(alpha - beta) + math.sqrt(alpha + beta + 2.0 * beta * h33)) / 2.0)
-
-
-def circle_average_quadrature(h, alpha, beta):
-    """Quadrature twin of circle_average for an explicit rotation H."""
-    if abs(beta) > alpha / 3.0:
-        raise ValueError(f"need |beta| <= alpha/3, got alpha={alpha}, beta={beta}")
+def circle_average_quadrature(h):
+    """Circle mean of log(6 - 2 trace(H R(phi))), the log squared distance
+    from I to H R(phi), by quadrature for an explicit rotation H: the twin of
+    log 2 + 2 sphere_kernel(h33), the phase average fibered_energy rests on."""
     h = np.asarray(h, dtype=float)
     # trace(H R(phi)) = (h11 + h22) cos phi + (h12 - h21) sin phi + h33
     a_c = h[0, 0] + h[1, 1]
@@ -308,6 +294,6 @@ def circle_average_quadrature(h, alpha, beta):
     h33 = h[2, 2]
 
     def f(phi):
-        return np.log(alpha + beta * (a_c * np.cos(phi) + a_s * np.sin(phi) + h33))
+        return np.log(6.0 - 2.0 * (a_c * np.cos(phi) + a_s * np.sin(phi) + h33))
 
     return integrate(f, 0.0, 2.0 * math.pi) / (2.0 * math.pi)

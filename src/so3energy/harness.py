@@ -2,8 +2,10 @@
 
 Determinism contract: the report depends only on the experiment config, not
 on the worker count. Trials are split into fixed-size chunks (a function of
-n alone), each trial draws from its own counter-keyed stream, chunk results
-are reduced in trial order, and all statistics use exact (fsum) summation.
+n alone), each trial's draws are fixed by its index (its own counter-keyed
+stream, or with frozen points its own positions in the fiber stream), chunk
+results are reduced in trial order, and all statistics use exact (fsum)
+summation.
 """
 
 from __future__ import annotations
@@ -21,10 +23,14 @@ from .construct import fiber_matrices
 from .energy import COINCIDENCE_TOL, band_len, fiber_pair_energies, fibered_energy, pair_log_sums
 from .ensembles import EnsembleSpec, sample_points
 from .geometry import base_frames
-from .streams import DOMAIN_POINTS, DOMAIN_TRIAL, keyed_stream, keyed_uniforms
+from .streams import DOMAIN_POINTS, DOMAIN_TRIAL, fiber_phases, keyed_stream
 
 REPORT_VERSION = "1"
 _Z_THRESHOLD = 4.0
+# a mean this close to its prediction, relative, agrees with it: one fiber's
+# energy does not depend on its phase, so at r = 1 the standard error is
+# rounding noise. The tests hold the direct route to the fiber identity here.
+_AGREEMENT_REL = 1e-12
 _MAX_EXCLUDED_FRACTION = 1e-3
 _TWO_PI = 2.0 * math.pi
 
@@ -96,24 +102,26 @@ def chunk_size(n):
 def _chunk_energies(args):
     """Energies and coincidence minima for trials lo..hi-1 of one experiment.
 
-    With frozen frames a trial's stream holds only its r phases, so the
-    chunk's (b, r) phases come from one keyed_uniforms call and its rotation
-    rows from one fiber_matrices broadcast. A resampled trial draws its
-    points first from the same stream, so those trials run one Generator
-    each; with s >= 3 they take fiber_pair_energies, the whole chunk in one
-    call, and an energy is fibered_energy(r, s, K) - s F of its kernel and
-    fluctuation sums. The rest take the direct pair sum over their rotation
-    rows. Both routes walk a trial's pairs in the same 64-row bands and
-    combine the band partials with fsum. The identity costs about as much per
-    fiber pair as the direct sum spends on nine rotation pairs, so with
-    s <= 2 (at most four) it is slower once r passes a few dozen; fixed-point
-    runs check the identity's phase average, so computing them through it
-    would make the check circular.
+    With frozen frames trial t's phases are draws t r .. t r + r - 1 of the
+    seed's fiber stream, so the chunk's (b, r) phases come from one
+    fiber_phases seek and its rotation rows from one fiber_matrices
+    broadcast; trial 0 is the configuration build_configuration makes over
+    the frozen points with the same seed. A resampled trial draws its points
+    and then its phases from its own keyed stream, so those trials run one
+    Generator each; with s >= 3 they take fiber_pair_energies, the whole
+    chunk in one call, and an energy is fibered_energy(r, s, K) - s F of its
+    kernel and fluctuation sums. The rest take the direct pair sum over
+    their rotation rows. Both routes walk a trial's pairs in the same 64-row
+    bands and combine the band partials with fsum. The identity costs about
+    as much per fiber pair as the direct sum spends on nine rotation pairs,
+    so with s <= 2 (at most four) it is slower once r passes a few dozen;
+    fixed-point runs check the identity's phase average, so computing them
+    through it would make the check circular.
     """
     kind, r, s, master_seed, lo, hi, frames = args
     b, n = hi - lo, r * s
     if frames is not None:
-        phases = keyed_uniforms(master_seed, DOMAIN_TRIAL, np.arange(lo, hi), r, _TWO_PI)
+        phases = fiber_phases(master_seed, lo * r, b * r).reshape(b, r)
     else:
         frames = np.empty((b, r, 3, 3))
         phases = np.empty((b, r))
@@ -186,14 +194,15 @@ def run_experiment(cfg, workers=None):
         std_error = math.sqrt(var / m)
     else:
         std_error = math.inf
-    if std_error == 0.0:
-        z = 0.0 if mean == prediction else math.inf
-    elif math.isinf(std_error):
+    agrees = abs(mean - prediction) <= _AGREEMENT_REL * abs(prediction)
+    if agrees or math.isinf(std_error):
         z = 0.0
+    elif std_error == 0.0:
+        z = math.inf
     else:
         z = (mean - prediction) / std_error
     if prediction_kind == "upper_bound":
-        passed = mean <= prediction
+        passed = agrees or mean <= prediction
     else:
         passed = abs(z) <= _Z_THRESHOLD
     return EstimateReport(

@@ -37,7 +37,6 @@ def test_verify_check_passes_at_full_size(check):
 def test_nan_error_fails_its_check(monkeypatch):
     # the worst-error reductions keep a NaN, which Python's max would drop
     monkeypatch.setattr(verify, "predicted_energy", lambda p, s: math.nan)
-    monkeypatch.setattr(verify, "circle_average", lambda *args: math.nan)
     monkeypatch.setattr(verify, "sphere_kernel", lambda t: math.nan)
     for check in (verify._check_fiber_identity, verify._check_circle_average, verify._check_kernel_positivity):
         assert not check(True).passed, check.__name__

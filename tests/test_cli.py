@@ -163,6 +163,25 @@ def test_mc_rejects_bad_trials(capsys):
     assert "trials" in err
 
 
+def test_mc_single_trial_is_a_usage_error(capsys):
+    # one trial has no standard error, which the record would write as the
+    # non-JSON token Infinity
+    code, out, err = run_cli(capsys, "mc", "--ensemble", "uniform", "--r", "3", "--s", "2", "--trials", "1")
+    assert code == 2 and out == ""
+    assert "need at least 2 trials for a standard error, got 1" in err
+
+
+@pytest.mark.parametrize("kind", ["uniform", "zeros", "eap", "spherical"])
+def test_mc_single_fiber_passes(capsys, kind):
+    # one fiber's energy does not depend on its phase: its standard error is
+    # rounding noise, under which uniform gave z = -7.0 and eap at s = 31
+    # missed its bound by 1 ulp
+    for s in ("3", "31") if kind == "eap" else ("3",):
+        code, out, _ = run_cli(capsys, "mc", "--ensemble", kind, "--r", "1", "--s", s, "--trials", "50", "--seed", "3")
+        doc = json.loads(out)
+        assert code == 0 and doc["pass"] and doc["z_score"] == 0.0
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
 def test_seed_outside_64_bits_is_a_usage_error(capsys, tmp_path, seed):
     # 2^64 used to give the mean of seed 0 while recording master_seed 2^64

@@ -143,22 +143,22 @@ def test_build_configuration_shapes_and_meta():
 
 
 def test_build_configuration_integer_seed_is_order_independent():
-    # with an integer seed each fiber phase comes from its own derived
-    # stream, so the same (point, index) pair always gets the same phase
+    # with an integer seed fiber i's phase is draw i of the seed's fiber
+    # stream, so the same (seed, index) pair always gets the same phase
     pts = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
     a = build_configuration(pts, 3, seed=7)
     b = build_configuration(pts, 3, seed=7)
     assert np.array_equal(a.matrices, b.matrices)
     c = build_configuration(pts, 3, seed=8)
     assert not np.array_equal(a.matrices, c.matrices)
-    # fiber i's phase is the first draw of keyed_stream(seed, DOMAIN_FIBER, i)
-    phases = [keyed_stream(7, DOMAIN_FIBER, i).uniform(0.0, 2.0 * math.pi) for i in range(2)]
+    # fiber i's phase is draw i of keyed_stream(seed, DOMAIN_FIBER)
+    phases = keyed_stream(7, DOMAIN_FIBER).uniform(0.0, 2.0 * math.pi, 2)
     want = fiber_matrices(base_frames(pts), phases, 3).reshape(6, 3, 3)
     assert np.array_equal(a.matrices.view(np.uint64), want.view(np.uint64))
 
 
 def test_build_configuration_generator_path():
-    # phases come only from an integer seed's keyed streams: a Generator or a
+    # phases come only from an integer seed's fiber stream: a Generator or a
     # float is refused, not drawn from or truncated
     pts = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
     for bad, name in ((np.random.default_rng(9), "Generator"), (9.0, "float")):

@@ -21,7 +21,6 @@ from so3energy.energy import (
     _fsum_rows,
     band_len,
     fibered_energy,
-    circle_average,
     circle_average_quadrature,
     fiber_pair_energies,
     log_energy,
@@ -404,26 +403,24 @@ def test_predicted_energy_single_fiber_consistency():
 
 
 def test_circle_average_against_quadrature():
-    # average of log(alpha + beta tr(H R(phi))) over the circle has a closed
-    # form depending on H only through its corner entry
+    # the circle average of log(6 - 2 tr(H R(phi))) is log 2 + 2 K(h33), the
+    # phase average fibered_energy rests on
     rng = np.random.default_rng(46)
     for h in haar_rotations(rng, 25):
-        cf = circle_average(float(h[2, 2]), 6.0, -2.0)
-        q = circle_average_quadrature(h, 6.0, -2.0)
+        cf = math.log(2.0) + 2.0 * sphere_kernel(float(h[2, 2]))
+        q = circle_average_quadrature(h)
         assert cf == pytest.approx(q, abs=1e-9)
 
 
 def test_circle_average_identity_corner():
-    # H = identity: alpha + beta(2 cos phi + 1); at (6, -2) the average is
-    # 2 log((2 + sqrt(2 - 2))/2)... evaluated directly from the closed form
-    val = circle_average(1.0, 6.0, -2.0)
+    # H = identity: 6 - 2(2 cos phi + 1) = 4 - 4 cos phi, whose circle mean of
+    # logs is 2 log((sqrt 8 + sqrt 0) / 2) = log 2, and K(1) = 0; H = diag(1,
+    # -1, -1) leaves the constant log 8 = log 2 + 2 K(-1)
+    val = math.log(2.0) + 2.0 * sphere_kernel(1.0)
     ref = 2.0 * math.log((math.sqrt(8.0) + math.sqrt(0.0)) / 2.0)
     assert val == pytest.approx(ref, abs=1e-14)
-
-
-def test_circle_average_requires_margin():
-    with pytest.raises(ValueError):
-        circle_average(0.0, 3.0, -2.0)
+    flip = np.diag([1.0, -1.0, -1.0])
+    assert circle_average_quadrature(flip) == pytest.approx(math.log(2.0) + 2.0 * sphere_kernel(-1.0), abs=1e-14)
 
 
 def test_crossed_expectation_by_direct_phase_average():

@@ -17,7 +17,7 @@ from so3energy.harness import (
     resolve_workers,
     run_experiment,
 )
-from so3energy.streams import DOMAIN_FIBER, DOMAIN_POINTS, DOMAIN_TRIAL, keyed_stream, keyed_uniforms
+from so3energy.streams import DOMAIN_FIBER, DOMAIN_POINTS, DOMAIN_TRIAL, fiber_phases, keyed_stream
 
 
 # --- streams ---------------------------------------------------------------------
@@ -50,22 +50,16 @@ def test_keyed_stream_index_range():
         keyed_stream(0, DOMAIN_TRIAL, 1 << 56)
 
 
-@pytest.mark.parametrize("domain", [DOMAIN_TRIAL, DOMAIN_FIBER])
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**63 + 5, 2**64 - 1])
-def test_keyed_uniforms_equal_keyed_stream_bit_for_bit(seed, domain):
-    # counts 1..17 end inside and on the edge of the 4-word Philox blocks
-    indices = [0, 1, 2**40 + 3, 2**56 - 1]
-    for count in range(1, 18):
-        got = keyed_uniforms(seed, domain, indices, count, 2.0 * math.pi)
-        want = np.array([keyed_stream(seed, domain, i).uniform(0.0, 2.0 * math.pi, count) for i in indices])
-        assert got.shape == (len(indices), count)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), count
-
-
-def test_keyed_uniforms_index_range():
-    for bad in (-1, 1 << 56):
-        with pytest.raises(ValueError, match="stream index out of range"):
-            keyed_uniforms(0, DOMAIN_TRIAL, [0, bad], 3, 1.0)
+def test_fiber_phases_equal_slices_of_a_fresh_stream(seed):
+    # starts of every residue mod 4, the word within a 4-word Philox block,
+    # and counts that end inside and on the edge of a block
+    for start in (0, 1, 2, 3, 4, 5, 6, 7, 1021, 4094, 4095):
+        for count in (0, 1, 3, 4, 5, 17):
+            got = fiber_phases(seed, start, count)
+            want = keyed_stream(seed, DOMAIN_FIBER).uniform(0.0, 2.0 * math.pi, start + count)[start:]
+            assert got.shape == (count,)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (start, count)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 7, -(2**64)])
@@ -76,7 +70,7 @@ def test_seeds_outside_64_bits_are_refused(seed):
     with pytest.raises(ValueError, match="seed out of range"):
         keyed_stream(seed, DOMAIN_POINTS)
     with pytest.raises(ValueError, match="seed out of range"):
-        keyed_uniforms(seed, DOMAIN_TRIAL, [0, 1], 3, 1.0)
+        fiber_phases(seed, 0, 3)
     with pytest.raises(ValueError, match="seed out of range"):
         build_configuration([[0.0, 0.0, 1.0]], 2, seed=seed)
     for resample in (True, False):
@@ -297,6 +291,35 @@ def test_single_trial_gives_infinite_std_error():
     assert rep.z_score == 0.0
 
 
+
+@pytest.mark.parametrize("s", range(1, 33))
+def test_single_fiber_fixed_point_runs_pass(s):
+    # one fiber's energy does not depend on its phase, so its standard error
+    # is rounding noise; a mean within 1e-12 of the prediction agrees with it
+    cfg = ExperimentConfig(EnsembleSpec("uniform", 1, s=s), 50, master_seed=3, resample_points=False)
+    rep = run_experiment(cfg)
+    assert rep.passed and rep.z_score == 0.0
+
+
+@pytest.mark.parametrize("kind, shift", [("uniform", 1e-9), ("uniform", -1e-9), ("eap", -1e-9)])
+def test_prediction_moved_by_1e_9_still_fails(monkeypatch, kind, shift):
+    # the mean of a single fiber agrees with its prediction to rounding, so a
+    # prediction moved by 1e-9 relative lies far outside the agreement bound:
+    # a mean moved either way fails, an upper bound moved below the mean fails
+    from so3energy import harness
+
+    real = harness._energy_prediction
+
+    def moved(*args):
+        s, value, kind_ = real(*args)
+        return s, value * (1.0 - shift), kind_
+
+    cfg = ExperimentConfig(EnsembleSpec(kind, 1, s=3), 50, master_seed=3)
+    assert run_experiment(cfg).passed
+    monkeypatch.setattr(harness, "_energy_prediction", moved)
+    rep = run_experiment(cfg)
+    assert not rep.passed and rep.z_score != 0.0
+
 def test_mean_matches_direct_energy_computation():
     # the harness energies are exactly log_energy of the same configurations
     from so3energy.construct import fiber_matrices
@@ -371,8 +394,9 @@ def test_fixed_point_fsum_calls_do_not_grow_with_trials(monkeypatch):
 def test_chunk_energies_equal_log_energy_of_rebuilt_configurations(kind, r, s, resample):
     # fixed-point trials, and resampled ones with s <= 2, take the direct pair
     # sum: exactly log_energy of the configuration rebuilt from the trial's
-    # stream (n > 64, so several tiles), in a single-trial chunk and in a
-    # 12-trial one. Resampled trials with s >= 3 take the fiber-pair identity:
+    # draws (its own stream when resampled, draws t r .. t r + r - 1 of the
+    # fiber stream over fixed points; n > 64, so several tiles), in a
+    # single-trial chunk and in a 12-trial one. Resampled trials with s >= 3 take the fiber-pair identity:
     # equal to it within 1e-12 relative, and the same bits whatever chunk
     # holds them.
     from so3energy.construct import fiber_matrices
@@ -387,10 +411,14 @@ def test_chunk_energies_equal_log_energy_of_rebuilt_configurations(kind, r, s, r
         frames = base_frames(points)
     batched, _ = _chunk_energies((kind, r, s, seed, 0, trials, frames))
     assert batched.shape == (trials,)
+    fiber_stream = keyed_stream(seed, DOMAIN_FIBER).uniform(0.0, 2.0 * math.pi, trials * r)
     for t in range(trials):
-        rng = keyed_stream(seed, DOMAIN_TRIAL, t)
-        pts = sample_points(kind, r, rng) if resample else points
-        rows = fiber_matrices(base_frames(pts), rng.uniform(0.0, 2.0 * math.pi, r), s)
+        if resample:
+            rng = keyed_stream(seed, DOMAIN_TRIAL, t)
+            pts, phases = sample_points(kind, r, rng), rng.uniform(0.0, 2.0 * math.pi, r)
+        else:
+            pts, phases = points, fiber_stream[t * r : (t + 1) * r]
+        rows = fiber_matrices(base_frames(pts), phases, s)
         direct = log_energy(rows.reshape(-1, 3, 3))
         single, _ = _chunk_energies((kind, r, s, seed, t, t + 1, frames))
         assert single[0] == batched[t]
@@ -404,9 +432,10 @@ def test_fixed_point_chunks_equal_per_trial_route():
     # uniform r = 10, s = 3 (n = 30): 4,100 trials are a 4,096-trial chunk and
     # a 4-trial one; r = 32, s = 2 (n = 64, one band of 2,016 pairs): 1,030
     # trials are a 1,024-trial chunk and a 6-trial one. Each batched chunk
-    # (keyed_uniforms phases, one fiber_matrices broadcast and pair_log_sums
-    # in one workspace) must give the bits of the per-trial route: a
-    # Generator per trial, fiber_matrices of its rows, pair_log_sums.
+    # (fiber_phases seeked to its first trial, one fiber_matrices broadcast
+    # and pair_log_sums in one workspace) must give the bits of the per-trial
+    # route: trial t's r draws sliced from the whole fiber stream,
+    # fiber_matrices of its rows, pair_log_sums.
     from so3energy.construct import fiber_matrices
     from so3energy.energy import pair_log_sums
     from so3energy.ensembles import sample_points
@@ -415,18 +444,35 @@ def test_fixed_point_chunks_equal_per_trial_route():
     kind, seed = "uniform", 19
     for r, s, trials in ((10, 3, 4100), (32, 2, 1030)):
         frames = base_frames(sample_points(kind, r, keyed_stream(seed, DOMAIN_POINTS)))
+        fiber_stream = keyed_stream(seed, DOMAIN_FIBER).uniform(0.0, 2.0 * math.pi, trials * r)
         b = chunk_size(r * s)
         assert b < trials < 2 * b
         for lo in range(0, trials, b):
             hi = min(lo + b, trials)
             energies, mins = _chunk_energies((kind, r, s, seed, lo, hi, frames))
-            phases = [keyed_stream(seed, DOMAIN_TRIAL, t).uniform(0.0, 2.0 * math.pi, r) for t in range(lo, hi)]
+            phases = [fiber_stream[t * r : (t + 1) * r] for t in range(lo, hi)]
             rows = np.stack([fiber_matrices(frames, phi, s) for phi in phases])
             want_sums, want_mins = pair_log_sums(rows)
             want_energies = -want_sums
             assert np.array_equal(energies.view(np.uint64), want_energies.view(np.uint64))
             assert np.array_equal(mins.view(np.uint64), want_mins.view(np.uint64))
 
+
+
+@pytest.mark.parametrize("r, s", [(5, 2), (10, 3), (32, 2)])
+def test_fixed_point_trial_zero_is_the_built_configuration(r, s):
+    # trial 0 over fixed points takes draws 0..r-1 of the fiber stream, the
+    # phases build_configuration gives fibers 0..r-1 over the same points,
+    # which generate --seed samples; r = 32, s = 2 is one full band (n = 64)
+    from so3energy.construct import build_configuration
+    from so3energy.energy import log_energy
+    from so3energy.ensembles import sample_points
+    from so3energy.geometry import base_frames
+
+    seed = 43
+    points = sample_points("uniform", r, keyed_stream(seed, DOMAIN_POINTS))
+    energies, _ = _chunk_energies(("uniform", r, s, seed, 0, 3, base_frames(points)))
+    assert energies[0].hex() == log_energy(build_configuration(points, s, seed)).hex()
 
 def test_fixed_point_chunk_memory_at_n_64():
     # uniform r = 32, s = 2, one 1,024-trial chunk: every trial's 64 x 64

@@ -4,7 +4,7 @@ import so3energy
 
 EXPORTS = {
     '__version__', 'aberth_roots', 'all_constants', 'build_configuration', 'c_harmonic_so3',
-    'c_sph', 'c_zeros', 'circle_average', 'circle_average_quadrature', 'Configuration',
+    'c_sph', 'c_zeros', 'circle_average_quadrature', 'Configuration',
     'constant_J', 'eap_energy_upper_bound', 'eap_kernel_lower_bound',
     'EnsembleSpec', 'equal_area_partition', 'EqualAreaRegion', 'EstimateReport',
     'expected_configuration_energy', 'expected_kernel_energy', 'ExperimentConfig',

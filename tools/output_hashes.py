@@ -41,6 +41,10 @@ _MC_WIDE = ["mc", "--ensemble", "uniform", "--r", "2100", "--s", "3", "--trials"
 # one zeros or eap point has no pairs: every energy and the prediction are 0
 _MC_ONE = ["mc", "--ensemble", "zeros", "--r", "1", "--s", "auto", "--trials", "50", "--seed", "3"]
 _MC_ONE_EAP = ["mc", "--ensemble", "eap", "--r", "1", "--s", "auto", "--trials", "50", "--seed", "3"]
+# one fiber's energy does not depend on its phase, so these runs' standard
+# errors are rounding noise: the mean agrees with its prediction to rounding
+_MC_ONE_FIBER = ["mc", "--ensemble", "uniform", "--r", "1", "--s", "3", "--trials", "50", "--seed", "3"]
+_MC_ONE_FIBER_EAP = ["mc", "--ensemble", "eap", "--r", "1", "--s", "31", "--trials", "50", "--seed", "3"]
 # zeros at r = 1029 and harmonic at r = 400 (L = 19) pin deeper quadrature trees;
 # eap at r = 2 pins the partition into two polar caps, zeros and eap at r = 1
 # the kernel energy of a single point
@@ -101,7 +105,7 @@ def _commands():
         for fmt in ("json", "csv"):
             argv = ["mc", "--ensemble", kind, "--r", str(r), "--s", "auto", "--trials", "300", "--seed", "3", "--format", fmt]
             yield " ".join(argv), lambda a=argv: _cli(a)
-    for argv in (_MC_DIRECT, _MC_BANDED, _MC_WIDE, _MC_ONE, _MC_ONE_EAP):
+    for argv in (_MC_DIRECT, _MC_BANDED, _MC_WIDE, _MC_ONE, _MC_ONE_EAP, _MC_ONE_FIBER, _MC_ONE_FIBER_EAP):
         yield " ".join(argv), lambda a=argv: _cli(a)
     for kind, r in _PREDICT:
         argv = ["predict", "--ensemble", kind, "--r", str(r), "--s", "auto"]
