@@ -291,7 +291,6 @@ def test_single_trial_gives_infinite_std_error():
     assert rep.z_score == 0.0
 
 
-
 @pytest.mark.parametrize("s", range(1, 33))
 def test_single_fiber_fixed_point_runs_pass(s):
     # one fiber's energy does not depend on its phase, so its standard error
@@ -319,6 +318,7 @@ def test_prediction_moved_by_1e_9_still_fails(monkeypatch, kind, shift):
     monkeypatch.setattr(harness, "_energy_prediction", moved)
     rep = run_experiment(cfg)
     assert not rep.passed and rep.z_score != 0.0
+
 
 def test_mean_matches_direct_energy_computation():
     # the harness energies are exactly log_energy of the same configurations
@@ -396,9 +396,9 @@ def test_chunk_energies_equal_log_energy_of_rebuilt_configurations(kind, r, s, r
     # sum: exactly log_energy of the configuration rebuilt from the trial's
     # draws (its own stream when resampled, draws t r .. t r + r - 1 of the
     # fiber stream over fixed points; n > 64, so several tiles), in a
-    # single-trial chunk and in a 12-trial one. Resampled trials with s >= 3 take the fiber-pair identity:
-    # equal to it within 1e-12 relative, and the same bits whatever chunk
-    # holds them.
+    # single-trial chunk and in a 12-trial one. Resampled trials with s >= 3
+    # take the fiber-pair identity: equal to it within 1e-12 relative, and the
+    # same bits whatever chunk holds them.
     from so3energy.construct import fiber_matrices
     from so3energy.energy import log_energy
     from so3energy.ensembles import sample_points
@@ -458,7 +458,6 @@ def test_fixed_point_chunks_equal_per_trial_route():
             assert np.array_equal(mins.view(np.uint64), want_mins.view(np.uint64))
 
 
-
 @pytest.mark.parametrize("r, s", [(5, 2), (10, 3), (32, 2)])
 def test_fixed_point_trial_zero_is_the_built_configuration(r, s):
     # trial 0 over fixed points takes draws 0..r-1 of the fiber stream, the
@@ -473,6 +472,7 @@ def test_fixed_point_trial_zero_is_the_built_configuration(r, s):
     points = sample_points("uniform", r, keyed_stream(seed, DOMAIN_POINTS))
     energies, _ = _chunk_energies(("uniform", r, s, seed, 0, 3, base_frames(points)))
     assert energies[0].hex() == log_energy(build_configuration(points, s, seed)).hex()
+
 
 def test_fixed_point_chunk_memory_at_n_64():
     # uniform r = 32, s = 2, one 1,024-trial chunk: every trial's 64 x 64
