@@ -50,6 +50,26 @@ def test_keyed_stream_index_range():
         keyed_stream(0, DOMAIN_TRIAL, 1 << 56)
 
 
+@pytest.mark.parametrize("domain", [DOMAIN_TRIAL, DOMAIN_FIBER])
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**63 + 5, 2**64 - 1])
+def test_keyed_uniforms_equal_keyed_stream_bit_for_bit(seed, domain):
+    # fiber_phases seeks by numpy's counter rule, one step per block of four
+    # 64-bit words; hold that rule for keys across both domains and the whole
+    # index range, with counts 1..17 ending inside and on the edge of a block
+    for index in (0, 1, 2**40 + 3, 2**56 - 1):
+        fresh = keyed_stream(seed, domain, index).uniform(0.0, 2.0 * math.pi, 7 + 17)
+        for start in (0, 1, 2, 3, 4, 7):
+            for count in range(1, 18):
+                rng = keyed_stream(seed, domain, index)
+                rng.bit_generator.advance(start // 4)
+                rng.bit_generator.random_raw(start % 4)
+                got = rng.uniform(0.0, 2.0 * math.pi, count)
+                want = fresh[start : start + count]
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (index, start, count)
+                if domain == DOMAIN_FIBER and index == 0:
+                    assert np.array_equal(fiber_phases(seed, start, count).view(np.uint64), want.view(np.uint64))
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**63 + 5, 2**64 - 1])
 def test_fiber_phases_equal_slices_of_a_fresh_stream(seed):
     # starts of every residue mod 4, the word within a 4-word Philox block,
