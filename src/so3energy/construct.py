@@ -57,17 +57,23 @@ def fiber_matrices(frames, phases, s, out=None):
     Row i*s+j is frames[i] @ R(2 pi (j+1)/s + phases[i]) flattened row-major.
     Columns 1 and 2 of each product mix the frame's first two columns by the
     angle, each formed in place; column 3 is the frame's third column
-    unchanged. Leading axes broadcast, so one (r, 3, 3) set of frames takes a
-    (b, r) batch of phases; every row has the bits of the unbatched call. The
-    rows are the start of the flat float buffer out when one is given.
+    unchanged. Each frame column is repeated over the s slots and each
+    angle's sine and cosine over the three matrix rows, so every product and
+    sum runs over one evenly strided column of the output, 3 r s entries per
+    trial, not over 3-entry rows; besides the rows a trial holds 7 r s
+    doubles of angles and repeated sines and cosines. Leading axes
+    broadcast, so one (r, 3, 3) set of frames takes a (b, r) batch of
+    phases; every row has the bits of the unbatched call. The rows are the
+    start of the flat float buffer out when one is given.
     """
     frames = np.asarray(frames, dtype=float)
     phases = np.asarray(phases, dtype=float)
     lead = np.broadcast_shapes(frames.shape[:-2], phases.shape)
     ang = phases[..., None] + _TWO_PI * np.arange(1, s + 1) / s
-    sn = np.sin(ang)[..., None]
-    c = np.cos(ang, out=ang)[..., None]
-    h0, h1 = frames[..., None, :, 0], frames[..., None, :, 1]
+    rows3 = ang.shape + (3,)
+    sn = np.sin(ang).repeat(3).reshape(rows3)
+    c = np.cos(ang, out=ang).repeat(3).reshape(rows3)
+    h0, h1, h2 = (np.repeat(frames[..., None, :, k], s, axis=-2) for k in range(3))
     shape = lead + (s, 3, 3)
     out = np.empty(shape) if out is None else out[: math.prod(shape)].reshape(shape)
     # h0 c + h1 sn and -h0 sn + h1 c, with the bits of those expressions; each
@@ -76,7 +82,7 @@ def fiber_matrices(frames, phases, s, out=None):
     out[..., 0] += np.multiply(h1, sn, out=out[..., 2])
     np.multiply(h1, c, out=out[..., 1])
     out[..., 1] -= np.multiply(h0, sn, out=out[..., 2])
-    out[..., 2] = frames[..., None, :, 2]
+    out[..., 2] = h2
     return out.reshape(lead[:-1] + (lead[-1] * s, 9))
 
 
@@ -86,19 +92,20 @@ def build_configuration(points, s, seed, ensemble="custom"):
     Fiber i's phase is draw i of streams.fiber_phases for the integer seed,
     so a configuration is a pure function of its points, s and seed; trial 0
     of a fixed-point run_experiment over the same points and seed is this
-    configuration. Raises TypeError for a seed that is not an integer, and
-    ValueError unless `points` is an (r, 3) array of finite unit vectors
-    (norm within 1e-10 of 1).
+    configuration. Raises TypeError for an s or a seed that is not an
+    integer (a bool included), and ValueError for s < 1 or unless `points`
+    is an (r, 3) array of finite unit vectors (norm within 1e-10 of 1).
     """
-    if not isinstance(seed, (int, np.integer)):
-        raise TypeError(f"seed must be an integer, got {type(seed).__name__}")
+    for name, value in (("s", s), ("seed", seed)):
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
     points = _unit_points(points)
     r = len(points)
     if r < 1:
         raise ValueError("need at least one base point")
     if s < 1:
         raise ValueError(f"fiber count must be >= 1, got {s}")
-    seed = int(seed)
+    s, seed = int(s), int(seed)
     phases = fiber_phases(seed, 0, r)
     rows = fiber_matrices(base_frames(points), phases, s)
     meta = ConfigMeta(ensemble=ensemble, r=r, s=s, seed=seed)

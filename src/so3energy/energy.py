@@ -43,7 +43,7 @@ COINCIDENCE_TOL = 1e-14
 # cache
 _FIBER_GROUP = 2**14
 # head entries (batches x m x m) _band_pairs forms at once
-_HEAD_BLOCK = 2**17
+_HEAD_BLOCK = 2**15
 
 _LOG2 = math.log(2.0)
 _SQRT2 = math.sqrt(2.0)
@@ -81,7 +81,7 @@ def _band_pairs(op, u, vt, a0, a1, out=None):
     so np.matmul gives u_j . v_i and np.subtract, on (b, n, 1) and (b, 1, n)
     views, gives u_j - v_i. The band is formed transposed, items a0..n-1
     against a0..a1-1. Its m x m head, m = a1 - a0, is formed for a block of
-    about 2^17 entries of batches at a time, in one block buffer, and goes
+    about 2^15 entries of batches at a time, in one block buffer, and goes
     through a gather in the order (i, j); the tail, items a1..n-1, holds only
     pairs i < j, and op writes it straight into the rest of each row, ordered
     (j, i). The (b, k) array is the start of the flat buffer out when one is
@@ -122,7 +122,7 @@ def pair_log_sums(rows, out=None):
     distances 6 - 2 <O_i, O_j> are formed one 64-row band at a time, each in
     the same buffer of b band_len(n) entries (out, when given), and their
     logs taken in place: the largest array holds b x 64 x n pairs, and the
-    only squares are the bands' heads of at most 64 x 64, about 2^17 entries
+    only squares are the bands' heads of at most 64 x 64, about 2^15 entries
     at a time. Each band's logs are summed pairwise and the band partials
     combined with fsum per batch row, so a trial gives the same bits alone
     and in a batch.

@@ -485,10 +485,16 @@ def sample_equal_area(r, rng):
 def sample_spherical_ensemble(r, rng):
     """Eigenvalues of A^{-1} B for independent complex Gaussian matrices,
     projected to the sphere. A nearly singular A (condition number above
-    1e14, probability-zero event) is redrawn.
+    1e14, probability-zero event) is redrawn. A draw holds about 100 r^2
+    bytes, so r above the root finder's degree limit is refused before any
+    allocation.
     """
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
+    if r > _MAX_DEGREE:
+        raise ValueError(
+            f"spherical ensemble needs r <= {_MAX_DEGREE}, got {r}: a draw holds about 100 r^2 bytes, 1.5 GiB at the limit"
+        )
     while True:
         a = (rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))) / np.sqrt(2.0)
         if np.linalg.cond(a) <= 1e14:

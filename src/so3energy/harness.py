@@ -86,17 +86,18 @@ class EstimateReport:
 
 
 def chunk_size(n):
-    """Trials per chunk: 2^25 / (8 n^2), at most 4096 and at least one.
+    """Trials per chunk: 2^17 // (16 n + band_len(n)), at most 4096 and at
+    least one.
 
-    A direct-route chunk of b trials holds one workspace of
-    b (9 n + band_len(n)) doubles, its rotation rows and its first and
-    largest band of pair distances, beside a head block of at most 1 MiB
-    and fiber_matrices' angles. A warm fixed-point chunk peaks under
-    tracemalloc at 25 MiB for n = 30 and 28 MiB for n = 32 (4096 trials),
-    22 MiB for n = 64, 16 MiB for n = 128, 9.7 MiB for n = 256, 2.4 MiB for
-    n = 1024 and 1.3 MiB for n = 2048: at most 28 MiB, falling about as 1/n
-    above n = 64. The bands of fiber pairs hold r = n / s columns."""
-    return max(1, min(4096, 2**25 // (8 * n * n)))
+    A direct-route trial of n rotations holds 9 n doubles of rotation rows,
+    7 n of fiber_matrices' angles and repeated sines and cosines, and
+    band_len(n) of its first and largest band of pair distances, so a chunk
+    fits them in 2^17 doubles (1 MiB) unless one trial alone is larger;
+    beside it pair_log_sums forms at most _HEAD_BLOCK (2^15) head entries at
+    a time. A resampled chunk also holds its trials' frames and their columns
+    repeated over the fibers. The bands of fiber pairs hold r = n / s
+    columns."""
+    return max(1, min(4096, 2**17 // (16 * n + band_len(n))))
 
 
 def _chunk_energies(args):

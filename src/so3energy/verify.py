@@ -273,7 +273,7 @@ def _check_headline_residual(fast):
 
 
 def _check_determinism(fast):
-    # n = 64 gives 1,024-trial chunks, so 2,500 trials make three and the
+    # n = 64 gives 43-trial chunks, so 2,500 trials make 59 and the
     # second run of each config maps them over a worker pool
     workers = (1, 2) if fast else (1, 8)
     ok = True

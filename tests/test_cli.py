@@ -226,6 +226,16 @@ def test_generate_zeros_above_degree_limit_is_usage_error(capsys, tmp_path):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("cmd", ["generate", "mc"])
+def test_spherical_above_limit_is_usage_error(capsys, tmp_path, cmd):
+    out_path = tmp_path / "c.json"
+    extra = ["--out", str(out_path)] if cmd == "generate" else ["--trials", "2"]
+    code, out, err = run_cli(capsys, cmd, "--ensemble", "spherical", "--r", "20000", *extra)
+    assert code == 2
+    assert out == "" and "r <= 4096" in err
+    assert not out_path.exists()
+
+
 def test_bad_arguments_exit_code(capsys):
     assert run_cli(capsys, "generate", "--ensemble", "nope", "--r", "3", "--out", "x")[0] == 2
     assert run_cli(capsys, "energy", "--in", "/nonexistent/path.json")[0] == 1

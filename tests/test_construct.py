@@ -167,6 +167,26 @@ def test_build_configuration_generator_path():
     assert type(build_configuration(pts, 2, np.int64(9)).meta.seed) is int
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_build_configuration_numpy_integer_s_saves_and_reloads(tmp_path, fmt):
+    # s = np.int64(3) was stored as given, and json could not write it
+    pts = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    cfg = build_configuration(pts, np.int64(3), 1)
+    assert type(cfg.meta.s) is int
+    assert np.array_equal(cfg.matrices.view(np.uint64), build_configuration(pts, 3, 1).matrices.view(np.uint64))
+    path = tmp_path / f"config.{fmt}"
+    save_configuration(cfg, path, fmt=fmt)
+    back = load_configuration(path)
+    assert back.meta == cfg.meta and back.meta.s == 3
+    assert np.array_equal(back.matrices, cfg.matrices)
+
+
+@pytest.mark.parametrize("bad, name", [(2.5, "float"), (True, "bool"), ("3", "str")])
+def test_build_configuration_refuses_non_integer_s(bad, name):
+    with pytest.raises(TypeError, match=f"s must be an integer, got {name}"):
+        build_configuration([[0.0, 0.0, 1.0]], bad, 1)
+
+
 def test_build_configuration_validation():
     with pytest.raises(ValueError):
         build_configuration(np.empty((0, 3)), 2, seed=0)

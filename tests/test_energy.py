@@ -241,7 +241,7 @@ def test_pair_log_sums_holds_one_band_and_no_log_copy(b, n, limit):
     # one buffer sized for the first band holds every band and its logs, and
     # the heads are formed a block of trials at a time: (64, 256) peaked at
     # 15.0 MiB with a buffered head gather and a copy for the logs, and now
-    # at 8.5 MiB (a 7.0 MiB band, a 1 MiB head block, its 0.5 MiB gather);
+    # at 7.4 MiB (a 7.0 MiB band, a 0.25 MiB head block, its gather);
     # (1, 3584) at 3.5 MiB, now 1.8 MiB (one 1.7 MiB band)
     import tracemalloc
 
@@ -259,7 +259,7 @@ def test_pair_log_sums_holds_one_band_and_no_log_copy(b, n, limit):
 @pytest.mark.parametrize("op", ["matmul", "subtract"])
 @pytest.mark.parametrize("n", [64, 200])
 def test_band_pairs_head_blocks_equal_one_block_bit_for_bit(monkeypatch, op, n):
-    # b = 101 trials of m = 64 heads are four head blocks of 32, the last
+    # b = 101 trials of m = 64 heads are thirteen head blocks of 8, the last
     # holding 5; a single block gives the same bits. Band (0, 64) has a tail
     # at n = 200 and none at n = 64.
     from so3energy import energy
@@ -273,7 +273,7 @@ def test_band_pairs_head_blocks_equal_one_block_bit_for_bit(monkeypatch, op, n):
         phases = rng.uniform(0.0, 2.0 * math.pi, (b, n))
         u, vt = phases[:, :, None], phases[:, None, :]
     f = getattr(np, op)
-    assert energy._HEAD_BLOCK // 64**2 == 32
+    assert energy._HEAD_BLOCK // 64**2 == 8
     blocked = _band_pairs(f, u, vt, 0, 64)
     monkeypatch.setattr(energy, "_HEAD_BLOCK", b * 64**2)
     single = _band_pairs(f, u, vt, 0, 64)

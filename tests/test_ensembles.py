@@ -467,6 +467,26 @@ def test_sample_spherical_ensemble_shapes():
         assert_on_sphere(sample_spherical_ensemble(r, rng), r)
 
 
+def test_sample_spherical_ensemble_refuses_r_above_limit():
+    # a draw holds about 100 r^2 bytes, 29 MiB at r = 512; r = 20000 asked
+    # for tens of GB. Above the root finder's degree limit nothing is drawn
+    # or allocated.
+    import tracemalloc
+
+    rng = np.random.default_rng(80)
+    state = rng.bit_generator.state
+    tracemalloc.start()
+    try:
+        for r in (4097, 20000):
+            with pytest.raises(ValueError, match="r <= 4096"):
+                sample_spherical_ensemble(r, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert rng.bit_generator.state == state
+
+
 def test_sample_spherical_ensemble_z_moments():
     # the one-point function is uniform, so z has mean 0 and variance 1/3
     rng = np.random.default_rng(78)

@@ -115,12 +115,18 @@ def test_seeds_at_the_ends_of_the_range_are_kept(seed):
 
 
 def test_chunk_size_monotone_and_bounded():
+    from so3energy.energy import band_len
+
     assert chunk_size(1) == 4096
     sizes = [chunk_size(n) for n in [2, 10, 50, 100, 500, 2000]]
     assert all(1 <= c <= 4096 for c in sizes)
     assert all(a >= b for a, b in zip(sizes, sizes[1:]))
-    # worker-count independence is structural: the size depends only on n
-    assert chunk_size(100) == 2**25 // (8 * 100 * 100)
+    # worker-count independence is structural: the size depends only on n;
+    # below the cap a chunk is as many trials as fit 2^17 doubles
+    assert chunk_size(100) == 2**17 // (16 * 100 + band_len(100)) == 22
+    for n, b in zip([2, 10, 50, 100, 500], sizes):
+        assert b * (16 * n + band_len(n)) <= 2**17 < (b + 1) * (16 * n + band_len(n))
+    assert chunk_size(2000) == 1
 
 
 def test_resolve_workers(monkeypatch):
@@ -188,11 +194,11 @@ def _record_pool_starts(monkeypatch):
 
 
 def test_run_experiment_deterministic_across_workers(monkeypatch):
-    # zeros r = 23, s = 4 (n = 92) makes 495-trial chunks, so three here and
+    # zeros r = 23, s = 4 (n = 92) makes 24-trial chunks, so fifty here and
     # the 4-worker run really starts a pool
     spec = EnsembleSpec("zeros", 23, s=4)
     cfg = ExperimentConfig(spec, 1200, master_seed=9)
-    assert math.ceil(cfg.trials / chunk_size(92)) == 3
+    assert math.ceil(cfg.trials / chunk_size(92)) == 50
     seq = run_experiment(cfg, workers=1)
     used = _record_pool_starts(monkeypatch)
     par = run_experiment(cfg, workers=4)
@@ -201,13 +207,29 @@ def test_run_experiment_deterministic_across_workers(monkeypatch):
     assert seq.to_json() == par.to_json()
 
 
+@pytest.mark.parametrize(
+    "kind, r, s, resample", [("uniform", 40, 2, False), ("zeros", 10, 2, True), ("zeros", 10, 4, True)]
+)
+def test_chunking_never_changes_a_report(monkeypatch, kind, r, s, resample):
+    # a fixed-point run (n = 80, two bands; the rule makes 30-trial chunks),
+    # a resampled direct-route run and a resampled fiber-route run give the
+    # same report in chunks of 1 and 7 trials as in the rule's
+    from so3energy import harness
+
+    cfg = ExperimentConfig(EnsembleSpec(kind, r, s=s), 50, master_seed=17, resample_points=resample)
+    want = run_experiment(cfg).to_json()
+    for b in (1, 7):
+        monkeypatch.setattr(harness, "chunk_size", lambda n: b)
+        assert run_experiment(cfg).to_json() == want
+
+
 def test_spawn_when_fork_is_missing(monkeypatch):
     # without fork the pool is started by spawn and gives the same report;
-    # uniform r = 32, s = 2 (n = 64) makes 1,024-trial chunks, so three here
+    # uniform r = 32, s = 2 (n = 64) makes 43-trial chunks, so 59 here
     from so3energy import harness
 
     cfg = ExperimentConfig(EnsembleSpec("uniform", 32, s=2), 2500, master_seed=12)
-    assert chunk_size(64) == 1024
+    assert chunk_size(64) == 43
     serial = run_experiment(cfg, workers=1)
     monkeypatch.setattr(harness.multiprocessing, "get_all_start_methods", lambda: ["spawn", "forkserver"])
     used = _record_pool_starts(monkeypatch)
@@ -217,11 +239,11 @@ def test_spawn_when_fork_is_missing(monkeypatch):
 
 
 def test_run_experiment_deterministic_across_worker_env(monkeypatch):
-    # spherical r = 23, s = 4 (n = 92): three 495-trial chunks, so the
+    # spherical r = 23, s = 4 (n = 92): fifty 24-trial chunks, so the
     # 3-worker run starts a pool
     spec = EnsembleSpec("spherical", 23, s=4)
     cfg = ExperimentConfig(spec, 1200, master_seed=3)
-    assert math.ceil(cfg.trials / chunk_size(92)) == 3
+    assert math.ceil(cfg.trials / chunk_size(92)) == 50
     monkeypatch.setenv("SO3ENERGY_WORKERS", "1")
     a = run_experiment(cfg)
     used = _record_pool_starts(monkeypatch)
@@ -232,7 +254,7 @@ def test_run_experiment_deterministic_across_worker_env(monkeypatch):
 
 
 def test_pool_has_at_most_one_worker_per_chunk(monkeypatch):
-    # uniform r = 256, s = 2 (n = 512) makes 16-trial chunks, so two here; a
+    # uniform r = 256, s = 2 (n = 512) makes 3-trial chunks, so two here; a
     # stub context records the pool size and maps serially, so no process starts
     from so3energy import harness
 
@@ -254,8 +276,8 @@ def test_pool_has_at_most_one_worker_per_chunk(monkeypatch):
     class Context:
         Pool = SerialPool
 
-    cfg = ExperimentConfig(EnsembleSpec("uniform", 256, s=2), 20, master_seed=4)
-    assert chunk_size(512) == 16
+    cfg = ExperimentConfig(EnsembleSpec("uniform", 256, s=2), 5, master_seed=4)
+    assert chunk_size(512) == 3
     serial = run_experiment(cfg, workers=1)
     monkeypatch.setattr(harness.multiprocessing, "get_context", lambda method: Context())
     assert run_experiment(cfg, workers=64).to_json() == serial.to_json()
@@ -263,7 +285,7 @@ def test_pool_has_at_most_one_worker_per_chunk(monkeypatch):
     assert run_experiment(cfg).to_json() == serial.to_json()
     assert sizes == [2, 2]
     # one chunk runs in this process, with no pool
-    run_experiment(ExperimentConfig(EnsembleSpec("uniform", 256, s=2), 16, master_seed=4), workers=64)
+    run_experiment(ExperimentConfig(EnsembleSpec("uniform", 256, s=2), 3, master_seed=4), workers=64)
     assert sizes == [2, 2]
 
 
@@ -449,9 +471,9 @@ def test_chunk_energies_equal_log_energy_of_rebuilt_configurations(kind, r, s, r
 
 
 def test_fixed_point_chunks_equal_per_trial_route():
-    # uniform r = 10, s = 3 (n = 30): 4,100 trials are a 4,096-trial chunk and
-    # a 4-trial one; r = 32, s = 2 (n = 64, one band of 2,016 pairs): 1,030
-    # trials are a 1,024-trial chunk and a 6-trial one. Each batched chunk
+    # uniform r = 10, s = 3 (n = 30): 147 trials are a 143-trial chunk and a
+    # 4-trial one; r = 32, s = 2 (n = 64, one band of 2,016 pairs): 49 trials
+    # are a 43-trial chunk and a 6-trial one. Each batched chunk
     # (fiber_phases seeked to its first trial, one fiber_matrices broadcast
     # and pair_log_sums in one workspace) must give the bits of the per-trial
     # route: trial t's r draws sliced from the whole fiber stream,
@@ -462,7 +484,7 @@ def test_fixed_point_chunks_equal_per_trial_route():
     from so3energy.geometry import base_frames
 
     kind, seed = "uniform", 19
-    for r, s, trials in ((10, 3, 4100), (32, 2, 1030)):
+    for r, s, trials in ((10, 3, 147), (32, 2, 49)):
         frames = base_frames(sample_points(kind, r, keyed_stream(seed, DOMAIN_POINTS)))
         fiber_stream = keyed_stream(seed, DOMAIN_FIBER).uniform(0.0, 2.0 * math.pi, trials * r)
         b = chunk_size(r * s)
@@ -494,19 +516,22 @@ def test_fixed_point_trial_zero_is_the_built_configuration(r, s):
     assert energies[0].hex() == log_energy(build_configuration(points, s, seed)).hex()
 
 
-def test_fixed_point_chunk_memory_at_n_64():
-    # uniform r = 32, s = 2, one 1,024-trial chunk: every trial's 64 x 64
-    # head and a copy of the band for its logs peaked at 52.5 MiB; one
-    # workspace for the rows and the band, heads formed a block of trials at
-    # a time, peaks at about 24 MiB
+@pytest.mark.parametrize("n", [2, 30, 32, 64, 256, 1024])
+def test_fixed_point_chunk_memory(n):
+    # one warm chunk of chunk_size(n) trials, uniform r = n / 2, s = 2 (r = n,
+    # s = 1 at n = 2 and 32, r = 10, s = 3 at n = 30): sized by the 2^25 /
+    # (8 n^2) rule of the n x n Gram it peaked at 24.4 / 27.6 / 21.6 / 9.7 MiB
+    # for n = 30 / 32 / 64 / 256; its rows, fiber scratch and band fit 1 MiB,
+    # with at most 2^15 head entries beside them
     import tracemalloc
 
     from so3energy.ensembles import sample_points
     from so3energy.geometry import base_frames
 
-    r, s, seed = 32, 2, 11
+    r, s = {2: (2, 1), 30: (10, 3), 32: (32, 1)}.get(n, (n // 2, 2))
+    seed = 11
     frames = base_frames(sample_points("uniform", r, keyed_stream(seed, DOMAIN_POINTS)))
-    args = ("uniform", r, s, seed, 0, chunk_size(r * s), frames)
+    args = ("uniform", r, s, seed, 0, chunk_size(n), frames)
     _chunk_energies(args)
     tracemalloc.start()
     try:
@@ -514,32 +539,8 @@ def test_fixed_point_chunk_memory_at_n_64():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert energies.shape == (1024,) and np.isfinite(energies).all()
-    assert peak < 32 * 2**20
-
-
-def test_fixed_point_chunk_memory_at_n_32():
-    # uniform r = 32, s = 1, one 4,096-trial chunk: fiber_matrices kept the
-    # angles' cos and sin beside them and a (b, n, 3) product per column
-    # update, 31.6 MiB in all; the cos in place over the angles and the
-    # products in the output's third column peak at about 27.6 MiB
-    import tracemalloc
-
-    from so3energy.ensembles import sample_points
-    from so3energy.geometry import base_frames
-
-    r, s, seed = 32, 1, 11
-    frames = base_frames(sample_points("uniform", r, keyed_stream(seed, DOMAIN_POINTS)))
-    args = ("uniform", r, s, seed, 0, chunk_size(r * s), frames)
-    _chunk_energies(args)
-    tracemalloc.start()
-    try:
-        energies, _ = _chunk_energies(args)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert energies.shape == (4096,) and np.isfinite(energies).all()
-    assert peak < 29 * 2**20
+    assert energies.shape == (chunk_size(n),) and np.isfinite(energies).all()
+    assert peak < 1.5 * 2**20
 
 
 def test_batched_fiber_matrices_equal_stacked_single_calls():

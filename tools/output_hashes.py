@@ -59,8 +59,8 @@ _PREDICT = [(kind, 16) for kind in ENSEMBLE_KINDS + ("harmonic",)] + [
 # the fixed-point grids of the acceptance test
 _FIXED_GRIDS = [(r, s) for r in (2, 5, 10) for s in (1, 2, 3)]
 _FIXED_SEEDS = (0, 11, 2026)
-# n = 64 in 1,024-trial chunks: three chunks, each of several blocks of
-# 64 x 64 heads in the band
+# n = 64 in 43-trial chunks: 59 chunks, each of several blocks of 64 x 64
+# heads in the band
 _FIXED_WIDE = ExperimentConfig(EnsembleSpec("uniform", 32, s=2), trials=2500, master_seed=11, resample_points=False)
 # two equal rotations (r = 2, s = 1): the only command here whose energy is inf
 _COINCIDENT = {"meta": {"ensemble": "uniform", "r": 2, "s": 1, "seed": None}, "matrices": [[1, 0, 0, 0, 1, 0, 0, 0, 1]] * 2}
